@@ -25,9 +25,9 @@ verify-trace-off:
 
 ## The loss-tolerance property in both feature modes: the
 ## fault-schedule proptest (arbitrary drop × dup × reorder × corrupt ×
-## burst schedules crossed with the {sack, rack, pacing} recovery
-## switches must deliver byte-identical TCP streams in both
-## directions), the SACK conformance proptests (receiver block
+## burst schedules, TSO and GRO on or off, must deliver byte-identical
+## TCP streams in both directions through the SACK + RACK-TLP
+## recovery engine), the SACK conformance proptests (receiver block
 ## generation vs an RFC 2018 reference, sender scoreboard vs a naive
 ## bitmap) and the wire-level recovery suite run with the
 ## observability features on (default) and compiled out — the recovery
@@ -118,13 +118,13 @@ bench-smoke:
 ## PR 8 connection-scale grid (1K/10K/100K established-idle
 ## connections: establishment rate, resident bytes/conn, echo hot
 ## path at scale, plus connect/close churn rate and accept rate under
-## a 10×-backlog SYN flood), and the PR 9 recovery grid (1MB per-MSS
-## transfers × wire {lossless, 1/8 drop, reorder, drop+reorder} ×
-## recovery {off, sack, sack+rack, sack+rack+pacing}, goodput plus
-## scoreboard/RACK/TLP/pacing counters, gated: sack never loses to
-## blind recovery on a lossy wire, sack+rack holds ≥ 32% of lossless
-## at 1/8 drop, reorder-only cells see zero false fast-retransmits,
-## lossless cells stay 0.000 allocs/frame) — and writes them to
+## a 10×-backlog SYN flood), and the recovery grid (1MB per-MSS
+## transfers on the SACK + RACK-TLP engine × wire {lossless, 1/8 drop,
+## reorder, drop+reorder, burst drop}, goodput plus scoreboard/RACK/TLP
+## counters, gated: ≥ 32% of lossless at 1/8 drop, reorder-only cells
+## see zero false fast-retransmits and zero retransmits, the
+## burst-drop cell drives SACK hole retransmissions, the lossless cell
+## stays 0.000 allocs/frame) — and writes them to
 ## BENCH_PR9.json. Since PR 6 each cell also embeds the ukstats
 ## counter deltas measured inside its timed window and the document
 ## ends with a full registry snapshot; the human tables are suppressed

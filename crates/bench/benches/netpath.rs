@@ -44,15 +44,13 @@
 //! accept throughput under a 10×-backlog SYN flood.
 //!
 //! Since surgical loss recovery landed, a **recovery grid** rides
-//! along: wire {lossless, 1/8 drop, adjacent reorder, both} ×
-//! recovery {off, sack, rack, sack+rack, sack+rack+pacing}, cc on.
-//! Each cell records wall-clock goodput *and* the deterministic
-//! virtual wire-step count (the A/B gates compare steps, immune to
-//! host noise): sack must not cost wire time vs rack-only, sack+rack
-//! must beat blind go-back-N outright and hold ≥ 32% of lossless at a
+//! along: the single SACK + RACK-TLP engine, cc on, over wire
+//! {lossless, 1/8 drop, adjacent reorder, both, burst drop}. Each cell
+//! records wall-clock goodput *and* the deterministic virtual
+//! wire-step count: the engine must hold ≥ 32% of lossless at a
 //! 1-in-8 drop (2× the PR 7 figure), reorder-only cells must show
-//! zero false fast retransmits, and lossless cells stay
-//! allocation-free.
+//! zero false fast retransmits, the burst-drop cell must exercise the
+//! SACK scoreboard, and lossless cells stay allocation-free.
 //!
 //! The binary installs `ukalloc::stats::CountingAlloc` as its global
 //! allocator, so alongside the ns/iter numbers it prints measured
@@ -538,22 +536,15 @@ struct LossHarness {
 }
 
 impl LossHarness {
-    /// The PR 7 matrix shape: stack-default recovery (SACK + RACK on,
-    /// pacing off), drop cadence as the only fault.
+    /// The PR 7 matrix shape: drop cadence as the only fault.
     fn new(cc: bool, drop_every: u64) -> Self {
-        Self::with_recovery(cc, drop_every, 0, true, true, false)
+        Self::with_wire(cc, drop_every, 0, (0, 0))
     }
 
-    /// Full-grid constructor: the three recovery switches and the
-    /// adjacent-reorder cadence become axes alongside the drop rate.
-    fn with_recovery(
-        cc: bool,
-        drop_every: u64,
-        reorder_every: u64,
-        sack: bool,
-        rack: bool,
-        pacing: bool,
-    ) -> Self {
+    /// Full-grid constructor: the adjacent-reorder cadence and a
+    /// `(every, len)` drop-burst schedule become axes alongside the
+    /// drop rate.
+    fn with_wire(cc: bool, drop_every: u64, reorder_every: u64, burst: (u64, u64)) -> Self {
         let mk = |n: u8| {
             let tsc = Tsc::new(ukplat::cost::CPU_FREQ_HZ);
             let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
@@ -561,9 +552,6 @@ impl LossHarness {
             let mut cfg = StackConfig::node(n);
             cfg.tso = false; // Plain per-MSS frames: droppable.
             cfg.congestion_control = cc;
-            cfg.sack = sack;
-            cfg.rack = rack;
-            cfg.pacing = pacing;
             NetStack::new(cfg, Box::new(dev))
         };
         let mut net = Network::new();
@@ -584,6 +572,7 @@ impl LossHarness {
         let server = net.stack(si).tcp_accept(listener).unwrap();
         net.set_drop_every(drop_every);
         net.set_reorder_every(reorder_every);
+        net.set_drop_burst(burst.0, burst.1);
         let mut h = LossHarness {
             net,
             ci,
@@ -638,12 +627,10 @@ impl LossHarness {
         (rto, rtx, fast)
     }
 
-    /// `(sack_rtx, spurious_rtx, tlp_probes, paced_releases)` on the
-    /// sender.
-    fn recovery_stats(&mut self) -> (u64, u64, u64, u64) {
-        let (sack_rtx, spur, tlp, paced, _) =
-            self.net.stack(self.ci).tcp_recovery_stats(self.client);
-        (sack_rtx, spur, tlp, paced)
+    /// `(sack_rtx, spurious_rtx, tlp_probes)` on the sender.
+    fn recovery_stats(&mut self) -> (u64, u64, u64) {
+        let (sack_rtx, spur, tlp, _) = self.net.stack(self.ci).tcp_recovery_stats(self.client);
+        (sack_rtx, spur, tlp)
     }
 
     fn tx_frames(&mut self) -> u64 {
@@ -957,16 +944,15 @@ struct LossRow {
     stats: String,
 }
 
-/// One row of the recovery grid: loss × reorder wire cells crossed
-/// with the three recovery switches (cc always on — the deployment
-/// shape the recovery machinery has to win in).
+/// One row of the recovery grid: one wire fault schedule on the
+/// SACK + RACK-TLP engine (cc always on — the deployment shape the
+/// recovery machinery has to win in).
 struct RecoveryRow {
     name: String,
     drop_every: u64,
     reorder_every: u64,
-    sack: bool,
-    rack: bool,
-    pacing: bool,
+    burst_every: u64,
+    burst_len: u64,
     bytes_per_s: f64,
     mib_per_s: f64,
     goodput_vs_lossless: f64,
@@ -980,7 +966,6 @@ struct RecoveryRow {
     sack_rtx: u64,
     spurious_rtx: u64,
     tlp_probes: u64,
-    paced_releases: u64,
     stats: String,
 }
 
@@ -1329,99 +1314,79 @@ fn ablation_report(json_path: Option<&str>) {
         goodput_1_64 * 100.0
     );
 
-    // --- Recovery grid: wire ∈ {lossless, 1/8 drop, reorder, both} ×
-    // recovery ∈ {off, sack, rack, sack+rack, sack+rack+pacing}, cc
-    // on. Same per-MSS 1 MB stream as the loss matrix. Each cell
-    // records two clocks: wall-clock goodput (comparable to the loss
-    // matrix and the PR 7 baseline) and the *virtual* wire-step count
-    // — the testnet and its fault schedule are deterministic, so step
-    // counts are exactly reproducible and the A/B gates below compare
-    // steps, immune to host scheduling noise. Each cell also records
-    // what the scoreboard, the reordering window and the pacing gate
-    // actually did, and the lossless cells stay allocation-free.
+    // --- Recovery grid: wire ∈ {lossless, 1/8 drop, reorder, both,
+    // burst drop} on the SACK + RACK-TLP engine, cc on. Same per-MSS
+    // 1 MB stream as the loss matrix. Each cell records two clocks:
+    // wall-clock goodput (comparable to the loss matrix and the PR 7
+    // baseline) and the *virtual* wire-step count — the testnet and
+    // its fault schedule are deterministic, so step counts are exactly
+    // reproducible. Each cell also records what the scoreboard, the
+    // reordering window and the tail-loss probe actually did, and the
+    // lossless cell stays allocation-free.
     let mut rec_rows: Vec<RecoveryRow> = Vec::new();
-    for (sack, rack, pacing, rlabel) in [
-        (false, false, false, "off"),
-        (true, false, false, "sack"),
-        (false, true, false, "rack"),
-        (true, true, false, "sack_rack"),
-        (true, true, true, "full"),
+    for (drop_every, reorder_every, burst, wlabel) in [
+        (0u64, 0u64, (0u64, 0u64), "lossless"),
+        (8, 0, (0, 0), "drop_1_8"),
+        (0, 3, (0, 0), "reorder_3"),
+        (8, 3, (0, 0), "drop_1_8_reorder_3"),
+        // Consecutive frames lost inside one window: the holes behind
+        // the first are the scoreboard's to retransmit.
+        (0, 0, (64, 4), "burst_64x4"),
     ] {
-        for (drop_every, reorder_every, wlabel) in [
-            (0u64, 0u64, "lossless"),
-            (8, 0, "drop_1_8"),
-            (0, 3, "reorder_3"),
-            (8, 3, "drop_1_8_reorder_3"),
-        ] {
-            let mut h =
-                LossHarness::with_recovery(true, drop_every, reorder_every, sack, rack, pacing);
-            for _ in 0..3 {
-                h.transfer(LOSS_TOTAL); // Warm reps on the armed wire.
-            }
-            let (rto0, rtx0, fast0) = h.loss_stats();
-            let (srtx0, spur0, tlp0, paced0) = h.recovery_stats();
-            let frames0 = h.tx_frames();
-            let steps0 = h.steps;
-            let sbase = ukstats::snapshot();
-            let counter = AllocCounter::start();
-            let start = Instant::now();
-            let reps = 2u64;
-            for _ in 0..reps {
-                h.transfer(LOSS_TOTAL);
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            let wire_steps = h.steps - steps0;
-            let allocs = counter.allocs();
-            let stats = stats_delta_json(&sbase);
-            let frames = (h.tx_frames() - frames0).max(1);
-            let (rto, rtx, fast) = h.loss_stats();
-            let (srtx, spur, tlp, paced) = h.recovery_stats();
-            let total = (LOSS_TOTAL as u64 * reps) as f64;
-            rec_rows.push(RecoveryRow {
-                name: format!("tcp_recovery_1mb/{wlabel}/{rlabel}"),
-                drop_every,
-                reorder_every,
-                sack,
-                rack,
-                pacing,
-                bytes_per_s: total / elapsed,
-                mib_per_s: total / elapsed / (1024.0 * 1024.0),
-                goodput_vs_lossless: 0.0, // Filled below.
-                wire_steps,
-                allocs_per_frame: allocs as f64 / frames as f64,
-                rto_fires: rto - rto0,
-                retransmits: rtx - rtx0,
-                fast_retransmits: fast - fast0,
-                sack_rtx: srtx - srtx0,
-                spurious_rtx: spur - spur0,
-                tlp_probes: tlp - tlp0,
-                paced_releases: paced - paced0,
-                stats,
-            });
+        let mut h = LossHarness::with_wire(true, drop_every, reorder_every, burst);
+        for _ in 0..3 {
+            h.transfer(LOSS_TOTAL); // Warm reps on the armed wire.
         }
+        let (rto0, rtx0, fast0) = h.loss_stats();
+        let (srtx0, spur0, tlp0) = h.recovery_stats();
+        let frames0 = h.tx_frames();
+        let steps0 = h.steps;
+        let sbase = ukstats::snapshot();
+        let counter = AllocCounter::start();
+        let start = Instant::now();
+        let reps = 2u64;
+        for _ in 0..reps {
+            h.transfer(LOSS_TOTAL);
+        }
+        let elapsed = start.elapsed().as_secs_f64();
+        let wire_steps = h.steps - steps0;
+        let allocs = counter.allocs();
+        let stats = stats_delta_json(&sbase);
+        let frames = (h.tx_frames() - frames0).max(1);
+        let (rto, rtx, fast) = h.loss_stats();
+        let (srtx, spur, tlp) = h.recovery_stats();
+        let total = (LOSS_TOTAL as u64 * reps) as f64;
+        rec_rows.push(RecoveryRow {
+            name: format!("tcp_recovery_1mb/{wlabel}"),
+            drop_every,
+            reorder_every,
+            burst_every: burst.0,
+            burst_len: burst.1,
+            bytes_per_s: total / elapsed,
+            mib_per_s: total / elapsed / (1024.0 * 1024.0),
+            goodput_vs_lossless: 0.0, // Filled below.
+            wire_steps,
+            allocs_per_frame: allocs as f64 / frames as f64,
+            rto_fires: rto - rto0,
+            retransmits: rtx - rtx0,
+            fast_retransmits: fast - fast0,
+            sack_rtx: srtx - srtx0,
+            spurious_rtx: spur - spur0,
+            tlp_probes: tlp - tlp0,
+            stats,
+        });
     }
-    for i in 0..rec_rows.len() {
-        let base = rec_rows
-            .iter()
-            .find(|r| {
-                r.sack == rec_rows[i].sack
-                    && r.rack == rec_rows[i].rack
-                    && r.pacing == rec_rows[i].pacing
-                    && r.drop_every == 0
-                    && r.reorder_every == 0
-            })
-            .expect("recovery lossless baseline")
-            .bytes_per_s;
-        rec_rows[i].goodput_vs_lossless = rec_rows[i].bytes_per_s / base;
+    let lossless_bps = rec_rows[0].bytes_per_s;
+    for r in &mut rec_rows {
+        r.goodput_vs_lossless = r.bytes_per_s / lossless_bps;
     }
     ukcore::log_info!(
-        "{:<44} {:>9} {:>11} {:>6} {:>6} {:>6} {:>6} {:>8} {:>6} {:>6}",
-        "netpath/recovery", "MiB/s", "vs lossless", "steps", "rtx", "fast", "rto", "sack", "tlp",
-        "paced"
+        "{:<44} {:>9} {:>11} {:>6} {:>6} {:>6} {:>6} {:>8} {:>6}",
+        "netpath/recovery", "MiB/s", "vs lossless", "steps", "rtx", "fast", "rto", "sack", "tlp"
     );
     for r in &rec_rows {
         ukcore::log_info!(
-            "{:<44} {:>9.1} {:>10.0}% {:>6} {:>6} {:>6} {:>6} {:>8} {:>6} {:>6}",
+            "{:<44} {:>9.1} {:>10.0}% {:>6} {:>6} {:>6} {:>6} {:>8} {:>6}",
             r.name,
             r.mib_per_s,
             r.goodput_vs_lossless * 100.0,
@@ -1430,82 +1395,58 @@ fn ablation_report(json_path: Option<&str>) {
             r.fast_retransmits,
             r.rto_fires,
             r.sack_rtx,
-            r.tlp_probes,
-            r.paced_releases
+            r.tlp_probes
         );
     }
-    let rec_cell = |drop: u64, reord: u64, sack: bool, rack: bool, pacing: bool| {
+    let rec_cell = |wlabel: &str| {
         rec_rows
             .iter()
-            .find(|r| {
-                r.drop_every == drop
-                    && r.reorder_every == reord
-                    && r.sack == sack
-                    && r.rack == rack
-                    && r.pacing == pacing
-            })
+            .find(|r| r.name.ends_with(wlabel))
             .expect("recovery cell")
     };
-    // Gate (deterministic, on wire steps): with a time-based loss
-    // detector armed (RACK — without it, cc-on recovery is RTO-bound
-    // and the scoreboard never engages: the sack_rtx column is zero),
-    // turning the scoreboard on must not cost wire time on any lossy
-    // cell, and the full sack+rack stack must beat blind go-back-N
-    // recovery outright.
-    for (drop, reord) in [(8u64, 0u64), (8, 3)] {
-        let sack_off = rec_cell(drop, reord, false, true, false).wire_steps;
-        let sack_on = rec_cell(drop, reord, true, true, false).wire_steps;
-        assert!(
-            sack_on <= sack_off + sack_off / 50,
-            "sack-on must not cost wire time vs sack-off at drop={drop} reorder={reord} \
-             ({sack_on} vs {sack_off} steps)"
-        );
-        let blind = rec_cell(drop, reord, false, false, false).wire_steps;
-        assert!(
-            sack_on < blind,
-            "sack+rack must beat blind recovery at drop={drop} reorder={reord} \
-             ({sack_on} vs {blind} steps)"
-        );
-    }
-    // Gate: the full tentpole (sack+rack) holds ≥ 32% of its lossless
-    // baseline at a 1-in-8 drop — twice the PR 7 figure (16%).
-    let headline_1_8 = rec_cell(8, 0, true, true, false).goodput_vs_lossless;
+    // Gate: the engine holds ≥ 32% of its lossless baseline at a
+    // 1-in-8 drop — twice the PR 7 figure (16%).
+    let headline_1_8 = rec_cell("/drop_1_8").goodput_vs_lossless;
+    let reorder = rec_cell("/reorder_3");
     ukcore::log_info!(
         "netpath/recovery headline: {:.0}% of lossless goodput at 1/8 drop \
-         (cc on, sack+rack); reorder-only false fast-rtx = {}",
+         (cc on); reorder-only false fast-rtx = {}",
         headline_1_8 * 100.0,
-        rec_cell(0, 3, true, true, false).fast_retransmits
+        reorder.fast_retransmits
     );
     assert!(
         headline_1_8 >= 0.32,
-        "sack+rack goodput at 1/8 drop must hold at least 32% of lossless \
+        "goodput at 1/8 drop must hold at least 32% of lossless \
          (2x the PR 7 baseline; got {:.0}%)",
         headline_1_8 * 100.0
     );
     // Gate: reorder-only wires never trigger a false fast retransmit
     // with the reordering window armed.
-    for (sack, rack, pacing) in [(true, true, false), (true, true, true)] {
-        let cell = rec_cell(0, 3, sack, rack, pacing);
-        assert_eq!(
-            cell.fast_retransmits, 0,
-            "zero false fast retransmits on the reorder-only wire ({})",
-            cell.name
-        );
-        assert_eq!(
-            cell.retransmits, 0,
-            "zero spurious data retransmissions on the reorder-only wire ({})",
-            cell.name
-        );
-    }
-    // Gate: lossless cells stay allocation-free per frame regardless
-    // of which recovery machinery is armed.
-    for r in rec_rows.iter().filter(|r| r.drop_every == 0 && r.reorder_every == 0) {
-        assert_eq!(
-            r.allocs_per_frame, 0.0,
-            "lossless recovery cell must stay allocation-free ({})",
-            r.name
-        );
-    }
+    assert_eq!(
+        reorder.fast_retransmits, 0,
+        "zero false fast retransmits on the reorder-only wire ({})",
+        reorder.name
+    );
+    assert_eq!(
+        reorder.retransmits, 0,
+        "zero spurious data retransmissions on the reorder-only wire ({})",
+        reorder.name
+    );
+    // Gate: a loss burst leaves holes behind the first, and the
+    // scoreboard retransmits them.
+    let burst = rec_cell("/burst_64x4");
+    assert!(
+        burst.sack_rtx > 0,
+        "the burst-drop cell must exercise the SACK scoreboard ({})",
+        burst.name
+    );
+    // Gate: the lossless cell stays allocation-free per frame with the
+    // whole recovery engine armed.
+    assert_eq!(
+        rec_rows[0].allocs_per_frame, 0.0,
+        "lossless recovery cell must stay allocation-free ({})",
+        rec_rows[0].name
+    );
 
     // --- Connection-scale grid: 1K / 10K / 100K established-idle
     // connections resident on one lean-TCB stack (forged handshakes
@@ -1701,13 +1642,12 @@ fn ablation_report(json_path: Option<&str>) {
         out.push_str("  \"recovery_configs\": [\n");
         for (i, r) in rec_rows.iter().enumerate() {
             out.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"drop_every\": {}, \"reorder_every\": {}, \"sack\": {}, \"rack\": {}, \"pacing\": {}, \"bytes_per_s\": {:.0}, \"mib_per_s\": {:.1}, \"goodput_vs_lossless\": {:.3}, \"wire_steps\": {}, \"allocs_per_frame\": {:.3}, \"retransmits\": {}, \"fast_retransmits\": {}, \"rto_fires\": {}, \"sack_rtx\": {}, \"spurious_rtx\": {}, \"tlp_probes\": {}, \"paced_releases\": {}, \"stats\": {} }}{}\n",
+                "    {{ \"name\": \"{}\", \"drop_every\": {}, \"reorder_every\": {}, \"burst_every\": {}, \"burst_len\": {}, \"bytes_per_s\": {:.0}, \"mib_per_s\": {:.1}, \"goodput_vs_lossless\": {:.3}, \"wire_steps\": {}, \"allocs_per_frame\": {:.3}, \"retransmits\": {}, \"fast_retransmits\": {}, \"rto_fires\": {}, \"sack_rtx\": {}, \"spurious_rtx\": {}, \"tlp_probes\": {}, \"stats\": {} }}{}\n",
                 r.name,
                 r.drop_every,
                 r.reorder_every,
-                r.sack,
-                r.rack,
-                r.pacing,
+                r.burst_every,
+                r.burst_len,
                 r.bytes_per_s,
                 r.mib_per_s,
                 r.goodput_vs_lossless,
@@ -1719,7 +1659,6 @@ fn ablation_report(json_path: Option<&str>) {
                 r.sack_rtx,
                 r.spurious_rtx,
                 r.tlp_probes,
-                r.paced_releases,
                 r.stats,
                 if i + 1 == rec_rows.len() { "" } else { "," }
             ));

@@ -36,8 +36,9 @@
 //!
 //! # Connection lifecycle and the timer wheel
 //!
-//! With a virtual clock installed ([`NetStack::set_clock`]), every
-//! connection walks the full RFC 793 state machine:
+//! Every connection walks the full RFC 793 state machine, its
+//! time-driven transitions firing against the stack's virtual clock
+//! (frozen at 0 until [`NetStack::set_clock`] installs a moving one):
 //!
 //! ```text
 //!            LISTEN ──SYN──▶ SYN_RECEIVED ──ACK──▶ ESTABLISHED

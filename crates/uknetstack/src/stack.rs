@@ -195,7 +195,7 @@ pub const FINWAIT2_TIMEOUT_NS: u64 = 3_000_000_000;
 /// probe is sent.
 pub const KEEPALIVE_IDLE_NS: u64 = 5_000_000_000;
 
-/// Keepalive: spacing between unanswered probes.
+/// Keepalive: interval between unanswered probes.
 pub const KEEPALIVE_INTVL_NS: u64 = 1_000_000_000;
 
 /// Keepalive: unanswered probes before the peer is declared dead and
@@ -223,7 +223,6 @@ const TK_RTO: u64 = 0;
 const TK_DELACK: u64 = 1;
 const TK_LIFE: u64 = 2;
 const TK_RACK: u64 = 3;
-const TK_PACE: u64 = 4;
 
 // Reap-reason codes carried by the `tcp_conn_reaped` tracepoint.
 const REAP_CLOSED: u64 = 0;
@@ -318,13 +317,12 @@ pub struct StackConfig {
     /// Whether ACKs for received data may be deferred onto the timer
     /// wheel (fire after ~40 ms or every second full segment, the
     /// RFC 1122 shape) instead of leaving with the next flush.
-    /// Effective only with a virtual clock installed; delivery is
-    /// property-tested byte-identical with the switch on and off.
+    /// Delivery is property-tested byte-identical with the switch on
+    /// and off.
     pub delayed_ack: bool,
     /// Whether idle established connections probe the peer
     /// (keepalive) and tear down after unanswered probes — dead peers
-    /// stop pinning TCBs and pooled buffers. Effective only with a
-    /// virtual clock installed.
+    /// stop pinning TCBs and pooled buffers.
     pub keepalive: bool,
     /// Per-listener bound on both the half-open SYN queue and the
     /// accept backlog. When the SYN queue is full, the **oldest
@@ -333,27 +331,6 @@ pub struct StackConfig {
     /// (the client retransmits, the handshake timer bounds the
     /// half-open lifetime).
     pub listen_backlog: usize,
-    /// Whether connections negotiate and use selective acknowledgment
-    /// (RFC 2018): the receiver reports its out-of-order reassembly
-    /// extents as SACK blocks on pure ACKs, and the sender keeps a
-    /// scoreboard over the retransmission queue so a multi-hole loss
-    /// episode retransmits *only the holes* (with D-SACK detection of
-    /// spurious retransmits). Disable for the go-back-N ablation.
-    pub sack: bool,
-    /// Whether loss detection is time-based (RACK-TLP shape,
-    /// RFC 8985): per-extent transmit timestamps plus a
-    /// reordering-window timer replace the brittle 3-dup-ACK
-    /// threshold, and a tail-loss probe rescues last-segment drops
-    /// without a full RTO. Effective only with a virtual clock
-    /// installed (the reordering window needs a timebase); without
-    /// one the classic dup-ACK threshold stays in force.
-    pub rack: bool,
-    /// Whether recovery-episode emission (retransmissions and
-    /// post-RTO slow start) is paced: the `min(cwnd, snd_wnd)` budget
-    /// is released in SRTT-spread quanta through a wheel timer
-    /// instead of as one burst. Effective only with a virtual clock
-    /// installed.
-    pub pacing: bool,
     /// Whether new TCBs start with empty send/receive/retransmit
     /// queues that grow on demand, instead of the steady-state
     /// preallocation. For connection-scale workloads (tens of
@@ -383,9 +360,6 @@ impl StackConfig {
             delayed_ack: false,
             keepalive: false,
             listen_backlog: 64,
-            sack: true,
-            rack: true,
-            pacing: false,
             lean_tcbs: false,
         }
     }
@@ -439,9 +413,6 @@ struct TcpConn {
     /// tail-loss probe, whichever is nearer).
     rack_tok: TimerToken,
     rack_armed_ns: Option<u64>,
-    /// Wheel mirror of the TCB's pacing-gate deadline.
-    pace_tok: TimerToken,
-    pace_armed_ns: Option<u64>,
     /// Last segment activity (keepalive idle reference).
     last_activity_ns: u64,
     /// Unanswered keepalive probes since the last activity.
@@ -563,11 +534,10 @@ pub mod tp {
         tcp_retransmit(conn, count),
         tcp_fast_retransmit(conn, count),
         tcp_ooo_queue(conn, count),
-        // TCP surgical recovery (SACK scoreboard / RACK-TLP / pacing).
+        // TCP surgical recovery (SACK scoreboard / RACK-TLP).
         tcp_sack_rtx(conn, count),
         tcp_spurious_rtx(conn, count),
         tcp_tlp_probe(conn, count),
-        tcp_paced_release(conn, count),
         tcp_ooo_shed(conn, count),
         // TCP connection lifecycle (timer wheel).
         tcp_rst_tx(dst_port, seq),
@@ -615,7 +585,8 @@ struct StackCounters {
     tcp_rto_fires: ukstats::Counter,
     /// Segments re-emitted (data, SYN, SYN-ACK, FIN retransmissions).
     tcp_retransmits: ukstats::Counter,
-    /// Fast-retransmit triggers (3rd duplicate ACK).
+    /// Fast-retransmit triggers (RACK reordering window expired with
+    /// the hole still open).
     tcp_fast_retransmits: ukstats::Counter,
     /// Out-of-order extents filed into reassembly queues.
     tcp_ooo_queued: ukstats::Counter,
@@ -626,8 +597,6 @@ struct StackCounters {
     tcp_spurious_rtx: ukstats::Counter,
     /// Tail-loss probes fired in place of a full RTO.
     tcp_tlp_probes: ukstats::Counter,
-    /// Pacing-gate quantum releases during recovery episodes.
-    tcp_paced_releases: ukstats::Counter,
     /// Out-of-order extents shed under netbuf-pool pressure.
     tcp_ooo_shed: ukstats::Counter,
     /// Last observed RACK reordering window (ns; most recently polled
@@ -687,7 +656,6 @@ impl StackCounters {
             tcp_sack_rtx: ukstats::Counter::register("netstack.tcp.sack_rtx"),
             tcp_spurious_rtx: ukstats::Counter::register("netstack.tcp.spurious_rtx"),
             tcp_tlp_probes: ukstats::Counter::register("netstack.tcp.tlp_probes"),
-            tcp_paced_releases: ukstats::Counter::register("netstack.tcp.paced_releases"),
             tcp_ooo_shed: ukstats::Counter::register("netstack.tcp.ooo_shed"),
             tcp_rack_reorder_window_ns: ukstats::Gauge::register(
                 "netstack.tcp.rack_reorder_window_ns",
@@ -798,10 +766,10 @@ pub struct NetStack {
     ustats: StackCounters,
     /// Tracepoint ring (a ZST no-op with the `trace` feature off).
     trace: uktrace::TraceRing,
-    /// Virtual clock driving the per-connection retransmission timers
-    /// (`pump` ticks every TCB when installed). No clock means no
-    /// timer fires — the pre-loss-recovery behavior.
-    clock: Option<ukplat::time::Tsc>,
+    /// Virtual clock driving the timer wheel (every TCP timer). The
+    /// stack owns one frozen at 0 until [`set_clock`](Self::set_clock)
+    /// swaps in a shared, moving one.
+    clock: ukplat::time::Tsc,
     /// Scratch for flattening returning held TX frames into their
     /// payload extents (reused).
     hold_scratch: Vec<Netbuf>,
@@ -898,19 +866,18 @@ impl NetStack {
             arp_retry_scratch: Vec::new(),
             ustats: StackCounters::register(),
             trace: uktrace::TraceRing::new(TRACE_RING_CAP),
-            clock: None,
+            clock: ukplat::time::Tsc::new(1_000_000_000),
             hold_scratch: Vec::with_capacity(MAX_BURST),
         }
     }
 
-    /// Installs the virtual clock that drives TCP retransmission
-    /// timers: every `pump` ticks each connection's RTO/persist timer
-    /// against it. Also stamps trace records with the same clock.
-    /// Without a clock no timer ever fires (timer-less setups keep
-    /// their exact pre-timer behavior); the returning-frame
-    /// retransmission queue and fast retransmit still work.
+    /// Replaces the stack-owned clock (frozen at 0) with a shared
+    /// virtual clock: every `pump` advances the timer wheel — RTO,
+    /// RACK-TLP, delayed-ACK and lifecycle deadlines — to its time.
+    /// Also stamps trace records with the same clock. Until a moving
+    /// clock is installed no deadline ever expires.
     pub fn set_clock(&mut self, tsc: &ukplat::time::Tsc) {
-        self.clock = Some(tsc.clone());
+        self.clock = tsc.clone();
         self.set_trace_clock(tsc);
     }
 
@@ -995,9 +962,9 @@ impl NetStack {
         h
     }
 
-    /// Current virtual time, when a clock is installed.
-    fn now_ns(&self) -> Option<u64> {
-        self.clock.as_ref().map(|c| c.cycles_to_ns(c.now_cycles()))
+    /// Current virtual time.
+    fn now_ns(&self) -> u64 {
+        self.clock.cycles_to_ns(self.clock.now_cycles())
     }
 
     /// Resolves a generation-tagged handle to its live connection.
@@ -1074,8 +1041,6 @@ impl NetStack {
             life_kind: LifeKind::None,
             rack_tok: TimerToken::NONE,
             rack_armed_ns: None,
-            pace_tok: TimerToken::NONE,
-            pace_armed_ns: None,
             last_activity_ns: now,
             ka_probes: 0,
             dirty: false,
@@ -1108,7 +1073,6 @@ impl NetStack {
         self.wheel.cancel(c.delack_tok);
         self.wheel.cancel(c.life_tok);
         self.wheel.cancel(c.rack_tok);
-        self.wheel.cancel(c.pace_tok);
         self.flow.remove(flow_key(c.local_port, c.remote));
         if let Some(l) = self.listeners.get_mut(&c.local_port) {
             l.syn_queue.retain(|&s| s != slot);
@@ -1537,26 +1501,24 @@ impl NetStack {
         let local_port = chosen.ok_or(Errno::AddrInUse)?;
         self.next_ephemeral = if local_port == 65535 { 49152 } else { local_port + 1 };
         self.iss = self.iss.wrapping_add(64_000);
-        let mut tcb = Tcb::connect(local_port, to.port, self.iss);
+        let tcb = self.configure_tcb(Tcb::connect(local_port, to.port, self.iss));
+        let h = self.alloc_conn(tcb, to, local_port, self.now_ns());
+        self.flush_tcp()?;
+        Ok(SocketHandle(h))
+    }
+
+    /// Applies this stack's per-connection configuration to a new TCB
+    /// (connect and SYN-accept paths alike) and stamps it with the
+    /// current time.
+    fn configure_tcb(&self, mut tcb: Tcb) -> Tcb {
         if self.config.lean_tcbs {
             tcb.shrink_queues();
         }
         tcb.set_mss(self.config.mss);
         tcb.set_congestion_control(self.config.congestion_control);
-        tcb.set_lifecycle_enabled(self.clock.is_some());
-        tcb.set_delayed_ack(self.config.delayed_ack && self.clock.is_some());
-        tcb.set_sack(self.config.sack);
-        // RACK and pacing need a timebase: without a clock the dup-ACK
-        // threshold and burst emission stay in force.
-        tcb.set_rack(self.config.rack && self.clock.is_some());
-        tcb.set_pacing(self.config.pacing && self.clock.is_some());
-        let now = self.now_ns();
-        if let Some(n) = now {
-            tcb.set_now(n);
-        }
-        let h = self.alloc_conn(tcb, to, local_port, now.unwrap_or(0));
-        self.flush_tcp()?;
-        Ok(SocketHandle(h))
+        tcb.set_delayed_ack(self.config.delayed_ack);
+        tcb.set_now(self.now_ns());
+        tcb
     }
 
     /// Connection state.
@@ -1730,20 +1692,19 @@ impl NetStack {
     }
 
     /// Surgical-recovery counters for one connection — cumulative
-    /// `(sack_rtx, spurious_rtx, tlp_probes, paced_releases, ooo_shed)`,
-    /// the PR 9 companions to [`tcp_loss_stats`](Self::tcp_loss_stats).
-    pub fn tcp_recovery_stats(&self, conn: SocketHandle) -> (u64, u64, u64, u64, u64) {
+    /// `(sack_rtx, spurious_rtx, tlp_probes, ooo_shed)`, the
+    /// companions to [`tcp_loss_stats`](Self::tcp_loss_stats).
+    pub fn tcp_recovery_stats(&self, conn: SocketHandle) -> (u64, u64, u64, u64) {
         self.conn(conn.0)
             .map(|c| {
                 (
                     c.tcb.sack_rtx(),
                     c.tcb.spurious_rtx(),
                     c.tcb.tlp_probes(),
-                    c.tcb.paced_releases(),
                     c.tcb.ooo_shed(),
                 )
             })
-            .unwrap_or((0, 0, 0, 0, 0))
+            .unwrap_or((0, 0, 0, 0))
     }
 
     /// Current congestion window (bytes) for one connection.
@@ -2049,9 +2010,7 @@ impl NetStack {
             }
             c.dirty = false;
             let h = conn_handle(slot, gen);
-            if let Some(n) = now {
-                c.tcb.set_now(n);
-            }
+            c.tcb.set_now(now);
             let dst = c.remote.addr;
             let mss = c.tcb.mss();
             // The GSO budget is floored to a multiple of the MSS so a
@@ -2068,7 +2027,6 @@ impl NetStack {
             // owes the peer a SACK always emits a pure ACK).
             let mut sack_opt = [0u8; TCP_MAX_OPT_LEN];
             let sack_len = c.tcb.fill_sack_option(&mut sack_opt);
-            let sack_on = c.tcb.sack_enabled();
             let mut sack_used = false;
             c.tcb.poll_output_chain_with(max_seg, &take_buf, |header, chain| {
                 // Data rides in as the send queue's own buffers —
@@ -2082,7 +2040,7 @@ impl NetStack {
                 // pure ACK.
                 let opts: &[u8] = if was_data || header.flags.rst {
                     &[]
-                } else if header.flags.syn && sack_on {
+                } else if header.flags.syn {
                     &SACK_PERMITTED_OPT
                 } else if header.flags.ack && !header.flags.syn && !sack_used && sack_len > 0
                 {
@@ -2126,7 +2084,7 @@ impl NetStack {
                     // the payload into the retransmission queue instead
                     // of the pool (see `rtx_return_chain`), stamped
                     // with the transmit time RACK's loss logic keys on.
-                    nb.set_tcp_hold(h as u64, header.seq, plen as u32, now.unwrap_or(0));
+                    nb.set_tcp_hold(h as u64, header.seq, plen as u32, now);
                 }
                 staged.push((dst, nb));
             });
@@ -2141,9 +2099,9 @@ impl NetStack {
                 uktrace::trace!(self.trace, tp::tcp_sack_rtx, h, ds);
             }
             self.ustats.tcp_cwnd.set(c.tcb.cwnd() as u64);
-            if c.tcb.rack_enabled() {
-                self.ustats.tcp_rack_reorder_window_ns.set(c.tcb.reo_wnd_ns());
-            }
+            self.ustats
+                .tcp_rack_reorder_window_ns
+                .set(c.tcb.reo_wnd_ns());
         }
         self.ustats.tcp_retransmits.add(rtx_delta);
         self.ustats.tcp_sack_rtx.add(sack_rtx_delta);
@@ -2155,14 +2113,12 @@ impl NetStack {
         self.ustats.tso_super_frames.add(supers);
         self.ustats.tso_super_bytes.add(super_bytes);
         // Second pass: mirror every polled connection's timer wants
-        // (RTO, delayed ACK, lifecycle) into the wheel.
-        if let Some(n) = now {
-            let mut i = 0;
-            while i < self.dirty.len() {
-                let slot = self.dirty[i];
-                i += 1;
-                self.sync_conn_timers(slot, n);
-            }
+        // (RTO, RACK-TLP, delayed ACK, lifecycle) into the wheel.
+        let mut i = 0;
+        while i < self.dirty.len() {
+            let slot = self.dirty[i];
+            i += 1;
+            self.sync_conn_timers(slot, now);
         }
         self.dirty.clear();
         for (dst, nb) in staged.drain(..) {
@@ -2172,15 +2128,15 @@ impl NetStack {
         self.flush_tx()
     }
 
-    /// Advances the hierarchical timer wheel to the virtual clock (a
-    /// no-op until [`set_clock`](Self::set_clock) arms one) and
-    /// dispatches every expired timer: RTO/persist fires, delayed-ACK
-    /// deadlines, and lifecycle events (handshake timeout, keepalive
-    /// probes, FIN-WAIT-2 orphan reaping, TIME_WAIT 2MSL expiry).
+    /// Advances the hierarchical timer wheel to the virtual clock and
+    /// dispatches every expired timer: RTO/persist fires, RACK-TLP
+    /// deadlines, delayed-ACK deadlines, and lifecycle events
+    /// (handshake timeout, keepalive probes, FIN-WAIT-2 orphan
+    /// reaping, TIME_WAIT 2MSL expiry).
     /// Cost is O(expired timers), not O(connections) — 100 K idle
     /// connections cost the tick nothing.
     fn tcp_timer_tick(&mut self) {
-        let Some(now) = self.now_ns() else { return };
+        let now = self.now_ns();
         let mut fired = std::mem::take(&mut self.fired_scratch);
         fired.clear();
         self.wheel.advance(now, |key, deadline| fired.push((key, deadline)));
@@ -2268,26 +2224,6 @@ impl NetStack {
                         self.dirty.push(slot);
                     }
                 }
-                TK_PACE => {
-                    c.pace_tok = TimerToken::NONE;
-                    c.pace_armed_ns = None;
-                    let p0 = c.tcb.paced_releases();
-                    c.tcb.on_pace_timeout(now);
-                    let p = c.tcb.paced_releases() - p0;
-                    if p > 0 {
-                        self.ustats.tcp_paced_releases.add(p);
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_paced_release,
-                            conn_handle(slot, gen),
-                            p
-                        );
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
                 TK_LIFE => {
                     c.life_tok = TimerToken::NONE;
                     match c.life_kind {
@@ -2349,7 +2285,6 @@ impl NetStack {
     /// change, so steady-state data flow costs one compare per kind.
     fn sync_conn_timers(&mut self, slot: u32, now: u64) {
         let keepalive = self.config.keepalive;
-        let delayed_ack = self.config.delayed_ack;
         let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
             return;
         };
@@ -2364,7 +2299,7 @@ impl NetStack {
                 c.rto_tok = self.wheel.arm(d, timer_key(TK_RTO, slot, gen));
             }
         }
-        let want = if delayed_ack { c.tcb.ack_deadline() } else { None };
+        let want = c.tcb.ack_deadline();
         if want != c.delack_armed_ns || (want.is_some() && c.delack_tok.is_none()) {
             self.wheel.cancel(c.delack_tok);
             c.delack_tok = TimerToken::NONE;
@@ -2380,15 +2315,6 @@ impl NetStack {
             c.rack_armed_ns = want;
             if let Some(d) = want {
                 c.rack_tok = self.wheel.arm(d, timer_key(TK_RACK, slot, gen));
-            }
-        }
-        let want = c.tcb.pace_deadline();
-        if want != c.pace_armed_ns || (want.is_some() && c.pace_tok.is_none()) {
-            self.wheel.cancel(c.pace_tok);
-            c.pace_tok = TimerToken::NONE;
-            c.pace_armed_ns = want;
-            if let Some(d) = want {
-                c.pace_tok = self.wheel.arm(d, timer_key(TK_PACE, slot, gen));
             }
         }
         let (kind, deadline) = match c.tcb.state {
@@ -2857,11 +2783,9 @@ impl NetStack {
         };
         nb.pull_header(consumed);
         let _bytes = nb.chain_len();
-        if let Some(n) = now {
-            c.tcb.set_now(n);
-            c.last_activity_ns = n;
-            c.ka_probes = 0;
-        }
+        c.tcb.set_now(now);
+        c.last_activity_ns = now;
+        c.ka_probes = 0;
         let dup0 = c.tcb.dup_acks();
         let fr0 = c.tcb.fast_retransmits();
         let ooo0 = c.tcb.ooo_queued();
@@ -3049,11 +2973,9 @@ impl NetStack {
                     self.recycle(nb);
                     return Err(Errno::BadF);
                 };
-                if let Some(n) = now {
-                    c.tcb.set_now(n);
-                    c.last_activity_ns = n;
-                    c.ka_probes = 0;
-                }
+                c.tcb.set_now(now);
+                c.last_activity_ns = now;
+                c.ka_probes = 0;
                 let dup0 = c.tcb.dup_acks();
                 let fr0 = c.tcb.fast_retransmits();
                 let ooo0 = c.tcb.ooo_queued();
@@ -3153,29 +3075,15 @@ impl NetStack {
                     uktrace::trace!(self.trace, tp::tcp_syn_evicted, tcp.dst_port, v as usize);
                     self.reap_conn_slot(v, REAP_SYN_EVICTED);
                 }
-                let mut tcb = Tcb::listen(tcp.dst_port);
-                if self.config.lean_tcbs {
-                    tcb.shrink_queues();
-                }
-                tcb.set_mss(self.config.mss);
-                tcb.set_congestion_control(self.config.congestion_control);
-                tcb.set_lifecycle_enabled(self.clock.is_some());
-                tcb.set_delayed_ack(self.config.delayed_ack && self.clock.is_some());
-                tcb.set_sack(self.config.sack);
-                tcb.set_rack(self.config.rack && self.clock.is_some());
-                tcb.set_pacing(self.config.pacing && self.clock.is_some());
+                let mut tcb = self.configure_tcb(Tcb::listen(tcp.dst_port));
                 self.iss = self.iss.wrapping_add(64_000);
-                let now = self.now_ns();
-                if let Some(n) = now {
-                    tcb.set_now(n);
-                }
                 if doff > TCP_HDR_LEN {
                     let opts = TcpOptions::parse(&nb.payload()[TCP_HDR_LEN..doff]);
                     tcb.process_options(&tcp, &opts);
                 }
                 tcb.on_segment(&tcp, &nb.payload()[doff..]);
                 self.recycle(nb);
-                let h = self.alloc_conn(tcb, remote, tcp.dst_port, now.unwrap_or(0));
+                let h = self.alloc_conn(tcb, remote, tcp.dst_port, self.now_ns());
                 let slot = (h & 0xffff_ffff) as u32;
                 if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
                     l.syn_queue.push_back(slot);
@@ -3258,11 +3166,9 @@ impl NetStack {
             };
             match target {
                 Some((slot, c)) => {
-                    if let Some(n) = now {
-                        c.tcb.set_now(n);
-                        c.last_activity_ns = n;
-                        c.ka_probes = 0;
-                    }
+                    c.tcb.set_now(now);
+                    c.last_activity_ns = now;
+                    c.ka_probes = 0;
                     let dup0 = c.tcb.dup_acks();
                     let fr0 = c.tcb.fast_retransmits();
                     let ooo0 = c.tcb.ooo_queued();

@@ -13,7 +13,7 @@
 //! accounting once per super-segment), or per-MSS in software when it
 //! is not. Received data is acknowledged with per-poll coalesced ACKs
 //! (delayed-ACK shape), and a big-receive super-segment arriving as a
-//! buffer chain is ingested in one [`Tcb::on_segment_parts`] call.
+//! buffer chain is ingested in one [`Tcb::on_segment_bufs`] call.
 //!
 //! Since the receive-side fast path, the **receive queue is zero-copy
 //! too**: [`Tcb::on_segment_bufs`] *keeps* the RX netbufs the payload
@@ -27,7 +27,7 @@
 //! # Loss recovery
 //!
 //! The TCB survives arbitrary drop/dup/reorder fault schedules with
-//! byte-identical delivery. Four interlocking pieces:
+//! byte-identical delivery. One engine, five interlocking pieces:
 //!
 //! - **Retransmission without re-copying.** Emitted data frames carry a
 //!   [`TcpHold`](uknetdev::netbuf::TcpHold) tag; when the frame returns
@@ -47,16 +47,27 @@
 //!   re-emission, a lost SYN/SYN-ACK/FIN is re-queued, and a closed
 //!   peer window with queued data turns the timer into a persist
 //!   (zero-window probe) timer.
-//! - **Fast retransmit / NewReno recovery (RFC 6582).** Three duplicate
-//!   ACKs retransmit the segment at `snd_una` without waiting for the
-//!   RTO; with congestion control enabled
-//!   ([`Tcb::set_congestion_control`], a `StackConfig` ablation) this
+//! - **RACK-TLP loss detection (RFC 8985) with NewReno recovery
+//!   (RFC 6582).** Duplicate ACKs and new SACK coverage only *arm* a
+//!   reordering window (half an SRTT, floored); its expiry with the
+//!   hole still open declares loss and retransmits without waiting
+//!   for the RTO ([`Tcb::on_rack_timeout`]), so reordering that
+//!   resolves in time never fakes a loss. A tail-loss probe (2·SRTT)
+//!   re-emits the flight's last extent when no ACK can ever dupe.
+//!   With congestion control enabled
+//!   ([`Tcb::set_congestion_control`], a `StackConfig` ablation) loss
 //!   also halves `ssthresh`, inflates `cwnd` per extra dup-ACK, and
 //!   NewReno partial ACKs retransmit the next hole until the recovery
 //!   point is crossed. `cwnd` (slow start / congestion avoidance)
 //!   bounds emission alongside the peer window and composes with the
 //!   TSO super-segment budget (a super-segment splits at the
 //!   `min(cwnd, snd_wnd)` edge exactly like at the window edge).
+//! - **SACK scoreboard (RFC 2018/2883).** With a peer that announced
+//!   SACK-permitted, the receiver reports its reassembly extents (and
+//!   duplicate arrivals as D-SACK) on pure ACKs, and the sender's
+//!   scoreboard lets one recovery pass retransmit every hole, not just
+//!   the one at `snd_una`. A peer without SACK leaves the scoreboard
+//!   empty and recovery retransmits the front extent per episode.
 //! - **Bounded out-of-order reassembly.** A payload extent landing
 //!   ahead of `rcv_nxt` is queued (sequence-sorted, overlap-trimmed
 //!   against both neighbours and `rcv_nxt`) in a budgeted reassembly
@@ -65,8 +76,8 @@
 //!   budget, duplicate queued data, or land outside the sequence
 //!   horizon are recycled to their pool — never leaked. Dropped *or
 //!   queued-out-of-order* data still forces a duplicate ACK (capped at
-//!   one immediate dup-ACK per ingest sweep) so the peer's fast
-//!   retransmit always has its signal without ACK-storming the wire.
+//!   one immediate dup-ACK per ingest sweep) so the peer's loss
+//!   detector always has its signal without ACK-storming the wire.
 //!
 //! A FIN is processed only when it lands in sequence, i.e. after every
 //! payload byte preceding it was accepted; a FIN riding dropped or
@@ -120,8 +131,7 @@ const OOO_SEQ_HORIZON: u32 = 1 << 17;
 const INITIAL_CWND_SEGS: usize = 10;
 /// Delayed-ACK hold time (RFC 1122 §4.2.3.2 caps it at 500 ms; 40 ms
 /// matches Linux's default quick timeout). Only meaningful with
-/// [`Tcb::set_delayed_ack`] on — which the stack enables solely when a
-/// virtual clock drives the timer wheel.
+/// [`Tcb::set_delayed_ack`] on (`StackConfig::delayed_ack`).
 pub const DELACK_NS: u64 = 40_000_000;
 /// Quick-ACK threshold: an ACK is owed immediately once this many
 /// in-order segments are unacknowledged (RFC 1122: at least every
@@ -150,9 +160,6 @@ const RACK_REO_WND_MIN_NS: u64 = 10_000_000;
 /// Tail-loss-probe floor (the PTO is `2 * srtt` once an RTT sample
 /// exists; before that, half the initial RTO).
 const TLP_MIN_NS: u64 = 2_000_000;
-/// Pacing-gate release interval floor (the interval is `srtt / 8` —
-/// eight sub-bursts per RTT — floored to stay schedulable).
-const PACE_INTERVAL_MIN_NS: u64 = 1_000_000;
 
 /// TCP flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -477,14 +484,10 @@ impl TcpOptions {
 
 /// TCP connection states (subset of RFC 793).
 ///
-/// `FinWait` merges FIN-WAIT-1 and CLOSING; with the connection
-/// lifecycle enabled ([`Tcb::set_lifecycle_enabled`], which the stack
-/// switches on whenever a virtual clock is installed) an acknowledged
-/// FIN promotes to [`FinWait2`](Self::FinWait2) and the final FIN
-/// lands the TCB in [`TimeWait`](Self::TimeWait) for the stack's 2MSL
-/// reaper instead of closing outright. Raw TCBs (no lifecycle) keep
-/// the pre-wheel behavior: FIN exchange ends in
-/// [`Closed`](Self::Closed) directly.
+/// `FinWait` merges FIN-WAIT-1 and CLOSING; an acknowledged FIN
+/// promotes to [`FinWait2`](Self::FinWait2) and the final FIN lands
+/// the active closer in [`TimeWait`](Self::TimeWait) for the stack's
+/// 2MSL reaper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     /// Passive open.
@@ -626,7 +629,8 @@ pub struct Tcb {
     /// A zero-window probe is due at the next output poll (persist
     /// timer fired).
     probe_pending: bool,
-    /// Consecutive duplicate ACKs received (fast-retransmit trigger).
+    /// Consecutive duplicate ACKs received (loss evidence for RACK and
+    /// NewReno's per-dup-ACK window inflation).
     dup_ack_rx: u32,
     /// Whether NewReno fast recovery is active.
     in_recovery: bool,
@@ -658,11 +662,6 @@ pub struct Tcb {
     stat_fast_retransmits: u64,
     /// Cumulative extents queued out of order (observability).
     stat_ooo_queued: u64,
-    /// Whether the full connection lifecycle (FIN_WAIT_2, TIME_WAIT)
-    /// is enabled — the stack switches this on when a virtual clock
-    /// drives its timer wheel; raw TCBs keep the direct-to-Closed
-    /// behavior so clockless setups need no reaper.
-    lifecycle_enabled: bool,
     /// Whether pure ACKs are held for the delayed-ACK timer instead of
     /// being emitted at poll time (`StackConfig::delayed_ack`).
     delack_enabled: bool,
@@ -672,11 +671,8 @@ pub struct Tcb {
     /// In-order segments ingested since the last emitted ACK — the
     /// quick-ACK trigger.
     delack_segs: u32,
-    /// Whether this side generates and consumes SACK information
-    /// (`StackConfig::sack`); the wire still needs the peer's
-    /// SACK-permitted handshake option before anything is emitted.
-    sack_enabled: bool,
-    /// Peer announced SACK-permitted on its SYN/SYN-ACK.
+    /// Peer announced SACK-permitted on its SYN/SYN-ACK: SACK blocks
+    /// are emitted only then.
     peer_sack_ok: bool,
     /// Start of the most recently queued out-of-order extent — the
     /// block RFC 2018 §4 requires first in the next SACK option.
@@ -688,14 +684,6 @@ pub struct Tcb {
     /// above `snd_una`, merged from the peer's SACK blocks. The
     /// hole-walk retransmits only `rtx_q` extents *not* covered here.
     sacked: Vec<(u32, u32)>,
-    /// Highest sequence end the hole-walk has retransmitted this
-    /// episode (reset when `snd_una` advances or the RTO fires) — the
-    /// RACK-less guard against re-sending the same hole every ACK.
-    sack_rtx_mark: u32,
-    /// Whether RACK-style time-based loss detection replaces the
-    /// 3-dup-ACK threshold (`StackConfig::rack`; needs the virtual
-    /// clock, the stack gates it on one being installed).
-    rack_enabled: bool,
     /// Armed reordering-window deadline: loss evidence arrived and
     /// the episode opens when it expires — unless cumulative progress
     /// cancels it first (reordering, not loss).
@@ -707,13 +695,6 @@ pub struct Tcb {
     /// A probe was already spent on this tail (one per episode; reset
     /// when `snd_una` advances).
     tlp_consumed: bool,
-    /// Whether recovery emission is metered through the pacing gate
-    /// (`StackConfig::pacing`; needs the virtual clock).
-    pacing_enabled: bool,
-    /// Bytes the pacing gate still admits before the next release.
-    pace_budget: usize,
-    /// Armed pacing-gate release deadline.
-    pace_deadline_ns: Option<u64>,
     /// Cumulative scoreboard-driven hole retransmissions beyond the
     /// first hole (observability).
     stat_sack_rtx: u64,
@@ -721,8 +702,6 @@ pub struct Tcb {
     stat_spurious_rtx: u64,
     /// Cumulative tail-loss probes fired.
     stat_tlp_probes: u64,
-    /// Cumulative pacing-gate releases.
-    stat_paced_releases: u64,
     /// Cumulative out-of-order extents shed under pool pressure.
     stat_ooo_shed: u64,
 }
@@ -800,28 +779,20 @@ impl Tcb {
             stat_retransmits: 0,
             stat_fast_retransmits: 0,
             stat_ooo_queued: 0,
-            lifecycle_enabled: false,
             delack_enabled: false,
             ack_deadline_ns: None,
             delack_segs: 0,
-            sack_enabled: false,
             peer_sack_ok: false,
             sack_recent: None,
             dsack_pending: None,
             sacked: Vec::with_capacity(MAX_SACKED_RANGES),
-            sack_rtx_mark: iss,
-            rack_enabled: false,
             reo_deadline_ns: None,
             tlp_deadline_ns: None,
             tlp_pending: false,
             tlp_consumed: false,
-            pacing_enabled: false,
-            pace_budget: 0,
-            pace_deadline_ns: None,
             stat_sack_rtx: 0,
             stat_spurious_rtx: 0,
             stat_tlp_probes: 0,
-            stat_paced_releases: 0,
             stat_ooo_shed: 0,
         }
     }
@@ -873,56 +844,6 @@ impl Tcb {
         self.cwnd
     }
 
-    /// Enables/disables the SACK machinery (the `StackConfig::sack`
-    /// ablation): generating SACK options from the reassembly queue,
-    /// keeping the sender scoreboard, and the surgical hole-walk
-    /// retransmission. Off, every recovery path behaves exactly as
-    /// before this machinery existed.
-    pub fn set_sack(&mut self, enabled: bool) {
-        self.sack_enabled = enabled;
-        if !enabled {
-            self.sacked.clear();
-            self.dsack_pending = None;
-            self.sack_recent = None;
-        }
-    }
-
-    /// Whether the SACK ablation is on (the stack's emission path
-    /// checks this to decide whether SYN/SYN-ACK carry
-    /// SACK-permitted).
-    pub fn sack_enabled(&self) -> bool {
-        self.sack_enabled
-    }
-
-    /// Enables/disables RACK-style time-based loss detection and the
-    /// tail-loss probe (the `StackConfig::rack` ablation). Needs the
-    /// virtual clock: the stack only switches it on when one drives
-    /// its timer wheel, since with no timer the suppressed 3-dup-ACK
-    /// threshold would have no time-based replacement.
-    pub fn set_rack(&mut self, enabled: bool) {
-        self.rack_enabled = enabled;
-        if !enabled {
-            self.reo_deadline_ns = None;
-            self.tlp_deadline_ns = None;
-            self.tlp_pending = false;
-        }
-    }
-
-    /// Whether RACK-style loss detection is on.
-    pub fn rack_enabled(&self) -> bool {
-        self.rack_enabled
-    }
-
-    /// Enables/disables the recovery pacing gate (the
-    /// `StackConfig::pacing` ablation; clock-gated like RACK).
-    pub fn set_pacing(&mut self, enabled: bool) {
-        self.pacing_enabled = enabled;
-        if !enabled {
-            self.pace_deadline_ns = None;
-            self.pace_budget = 0;
-        }
-    }
-
     /// The reordering window RACK currently applies before declaring
     /// loss (exported as the `netstack.tcp.rack_reorder_window_ns`
     /// gauge).
@@ -947,19 +868,13 @@ impl Tcb {
         }
     }
 
-    /// The armed pacing-gate deadline (mirrored onto the stack's
-    /// wheel like the RACK deadline).
-    pub fn pace_deadline(&self) -> Option<u64> {
-        self.pace_deadline_ns
-    }
-
     /// RACK timer fired: settle whichever deadlines have passed. An
     /// expired reordering window with the hole still open is loss —
-    /// enter fast retransmit exactly as the 3rd duplicate ACK would
-    /// have (the dup-ACK count merely *arms* the window with RACK on;
-    /// expiry is what declares loss, so reordering that resolves
-    /// within the window never triggers a retransmission). An expired
-    /// PTO owes the wire a tail-loss probe.
+    /// enter fast retransmit (duplicate ACKs and SACK coverage merely
+    /// *arm* the window; expiry is what declares loss, so reordering
+    /// that resolves within the window never triggers a
+    /// retransmission). An expired PTO owes the wire a tail-loss
+    /// probe.
     pub fn on_rack_timeout(&mut self, now_ns: u64) {
         self.set_now(now_ns);
         if self.reo_deadline_ns.is_some_and(|d| d <= now_ns) {
@@ -972,7 +887,6 @@ impl Tcb {
                 self.rtx_request = true;
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
-                self.sack_rtx_mark = self.snd_una;
                 if self.cc_enabled {
                     let flight = self.bytes_in_flight() as usize;
                     self.ssthresh = (flight / 2).max(2 * self.mss);
@@ -990,29 +904,6 @@ impl Tcb {
         }
     }
 
-    /// Pacing timer fired: release the next emission quantum.
-    pub fn on_pace_timeout(&mut self, now_ns: u64) {
-        self.set_now(now_ns);
-        if self.pace_deadline_ns.is_some_and(|d| d <= now_ns) {
-            self.pace_deadline_ns = None;
-            self.pace_budget = self.pace_quantum();
-            self.stat_paced_releases += 1;
-        }
-    }
-
-    /// Whether the pacing gate currently meters emission: only during
-    /// a loss episode (recovery or backed-off RTO) — the lossless
-    /// path is byte-identical with pacing compiled in and armed.
-    fn pacing_active(&self) -> bool {
-        self.pacing_enabled && (self.in_recovery || self.backoff > 0)
-    }
-
-    /// Bytes one pacing release admits: an eighth of the effective
-    /// window, floored at two segments so recovery always progresses.
-    fn pace_quantum(&self) -> usize {
-        ((self.snd_wnd as usize).min(self.cwnd) / 8).max(2 * self.mss)
-    }
-
     /// Sheds the newest (highest-sequence) reassembly-queue extent
     /// back to the pool — the low-pool graceful-degradation policy.
     /// Newest first because the peer must retransmit shed bytes
@@ -1028,21 +919,12 @@ impl Tcb {
         true
     }
 
-    /// Enables the full connection lifecycle: an orderly close walks
-    /// FIN_WAIT_2 and parks in TIME_WAIT instead of jumping straight
-    /// to `Closed`. The stack turns this on when a virtual clock
-    /// drives its timer wheel (which then reaps TIME_WAIT after 2MSL);
-    /// raw TCBs leave it off so clockless tests need no reaper.
-    pub fn set_lifecycle_enabled(&mut self, enabled: bool) {
-        self.lifecycle_enabled = enabled;
-    }
-
     /// Enables delayed ACKs (`StackConfig::delayed_ack`): a lone
     /// in-order segment's pure ACK is held up to [`DELACK_NS`] for a
     /// chance to ride a data segment or coalesce with a second
     /// arrival. The stack mirrors [`ack_deadline`](Self::ack_deadline)
-    /// onto its timer wheel; without a clock this must stay off or
-    /// held ACKs would never fire.
+    /// onto its timer wheel, so a held ACK leaves no later than the
+    /// stack's clock reaching the deadline.
     pub fn set_delayed_ack(&mut self, enabled: bool) {
         self.delack_enabled = enabled;
         if !enabled {
@@ -1112,7 +994,8 @@ impl Tcb {
         self.stat_retransmits
     }
 
-    /// Cumulative fast-retransmit triggers (3rd duplicate ACK).
+    /// Cumulative fast-retransmit triggers (an expired RACK reordering
+    /// window with the hole still open).
     pub fn fast_retransmits(&self) -> u64 {
         self.stat_fast_retransmits
     }
@@ -1137,11 +1020,6 @@ impl Tcb {
     /// Cumulative tail-loss probes fired.
     pub fn tlp_probes(&self) -> u64 {
         self.stat_tlp_probes
-    }
-
-    /// Cumulative pacing-gate releases.
-    pub fn paced_releases(&self) -> u64 {
-        self.stat_paced_releases
     }
 
     /// Cumulative reassembly-queue extents shed under pool pressure.
@@ -1206,7 +1084,7 @@ impl Tcb {
         if h.flags.syn {
             self.peer_sack_ok = opts.sack_permitted;
         }
-        if !self.sack_enabled || !h.flags.ack || opts.sack_count == 0 {
+        if !h.flags.ack || opts.sack_count == 0 {
             return;
         }
         let mut advanced = false;
@@ -1234,11 +1112,7 @@ impl Tcb {
             advanced |= self.sack_merge(s, e);
         }
         if advanced {
-            if self.rack_enabled
-                && !self.in_recovery
-                && self.reo_deadline_ns.is_none()
-                && self.snd_una != self.snd_nxt
-            {
+            if !self.in_recovery && self.reo_deadline_ns.is_none() && self.snd_una != self.snd_nxt {
                 self.reo_deadline_ns = Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
             }
             if self.in_recovery {
@@ -1315,8 +1189,7 @@ impl Tcb {
                 self.rto_ns = self.computed_rto();
             }
             // Cumulative progress: retire scoreboard ranges the ACK
-            // overtook, restart the hole-walk mark, and disarm the
-            // RACK deadlines — the hole they watched is gone (loss
+            // overtook and disarm the RACK deadlines — the hole they watched is gone (loss
             // evidence that persists re-arms them immediately).
             self.sacked.retain(|&(_, e)| Self::seq_lt(self.snd_una, e));
             if let Some(first) = self.sacked.first_mut() {
@@ -1324,7 +1197,6 @@ impl Tcb {
                     first.0 = self.snd_una;
                 }
             }
-            self.sack_rtx_mark = self.snd_una;
             self.reo_deadline_ns = None;
             self.tlp_deadline_ns = None;
             self.tlp_consumed = false;
@@ -1380,38 +1252,16 @@ impl Tcb {
             && self.snd_una != self.snd_nxt
         {
             // Duplicate ACK: the peer is missing the segment at
-            // `snd_una`.
+            // `snd_una`. A dup-ACK count is reordering-ambiguous, so it
+            // only *arms* the RACK reordering window — expiry with the
+            // hole still open declares loss
+            // ([`on_rack_timeout`](Self::on_rack_timeout)); cumulative
+            // progress before that cancels it silently.
             self.dup_ack_rx += 1;
-            if self.rack_enabled {
-                // RACK: a dup-ACK count is reordering-ambiguous, so it
-                // only *arms* the reordering window — expiry with the
-                // hole still open declares loss
-                // ([`on_rack_timeout`](Self::on_rack_timeout));
-                // cumulative progress before that cancels it silently.
-                if !self.in_recovery && self.reo_deadline_ns.is_none() {
-                    self.reo_deadline_ns =
-                        Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
-                }
-                if self.dup_ack_rx > 3 && self.cc_enabled && self.in_recovery {
-                    self.cwnd += self.mss;
-                }
-            } else if self.dup_ack_rx == 3 {
-                self.stat_fast_retransmits += 1;
-                self.rtx_request = true;
-                if !self.in_recovery {
-                    // Enter the loss episode (partial ACKs inside it
-                    // retransmit the next hole directly); cwnd surgery
-                    // on top only when NewReno is on.
-                    self.in_recovery = true;
-                    self.recover = self.snd_nxt;
-                    self.sack_rtx_mark = self.snd_una;
-                    if self.cc_enabled {
-                        let flight = self.bytes_in_flight() as usize;
-                        self.ssthresh = (flight / 2).max(2 * self.mss);
-                        self.cwnd = self.ssthresh + 3 * self.mss;
-                    }
-                }
-            } else if self.dup_ack_rx > 3 && self.cc_enabled && self.in_recovery {
+            if !self.in_recovery && self.reo_deadline_ns.is_none() {
+                self.reo_deadline_ns = Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
+            }
+            if self.dup_ack_rx > 3 && self.cc_enabled && self.in_recovery {
                 // Each further dup-ACK means another segment left the
                 // network: inflate.
                 self.cwnd += self.mss;
@@ -1529,9 +1379,7 @@ impl Tcb {
 
     /// Advances the TCB's clock and fires the retransmission/persist
     /// timer if its deadline passed. Returns whether the timer fired
-    /// (the stack counts fires and polls output afterwards). No clock
-    /// installed on the stack means this is never called — lossless
-    /// setups keep their exact pre-timer behavior.
+    /// (the stack counts fires and polls output afterwards).
     pub fn on_tick(&mut self, now_ns: u64) -> bool {
         self.now_ns = now_ns;
         let Some(deadline) = self.rtx_deadline_ns else {
@@ -1566,12 +1414,10 @@ impl Tcb {
                     // one per ACK instead of one per timeout. With cc
                     // on this is a full loss event — restart slow
                     // start. The RTO supersedes any armed RACK
-                    // deadlines, and the hole-walk mark resets so the
-                    // front hole is eligible again.
+                    // deadlines.
                     self.rtx_request = true;
                     self.in_recovery = true;
                     self.recover = self.snd_nxt;
-                    self.sack_rtx_mark = self.snd_una;
                     self.reo_deadline_ns = None;
                     self.tlp_deadline_ns = None;
                     // Reneging safeguard (RFC 6675 §5.1): a receiver
@@ -1633,29 +1479,11 @@ impl Tcb {
 
     /// Handles an incoming segment (borrowed-payload convenience over
     /// [`on_segment_bufs`](Self::on_segment_bufs); accepted payload is
-    /// copied into a heap netbuf — tests and diagnostics only, the
-    /// stack's hot path hands the RX buffer itself over).
+    /// copied into a heap netbuf — the stack's SYN path and tests, the
+    /// hot path hands the RX buffer itself over).
     pub fn on_segment(&mut self, h: &TcpHeader, payload: &[u8]) {
-        self.on_segment_parts(h, std::iter::once(payload))
-    }
-
-    /// [`on_segment`](Self::on_segment) for a payload delivered as
-    /// several contiguous extents — the shape of a big-receive
-    /// (`VIRTIO_NET_F_GUEST_TSO4`) super-segment. The parts are one
-    /// segment: control processing happens once, the parts are
-    /// ingested back-to-back in sequence order.
-    pub fn on_segment_parts<'a, I>(&mut self, h: &TcpHeader, payload: I)
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        self.on_segment_bufs(
-            h,
-            payload
-                .into_iter()
-                .filter(|p| !p.is_empty())
-                .map(Netbuf::from_slice),
-            |_| {},
-        )
+        let payload = (!payload.is_empty()).then(|| Netbuf::from_slice(payload));
+        self.on_segment_bufs(h, payload, |_| {})
     }
 
     /// The zero-copy ingest entry: handles one logical segment whose
@@ -1739,13 +1567,10 @@ impl Tcb {
                 while let Some(nb) = self.rtx_released.pop() {
                     recycle(nb);
                 }
-                // With the lifecycle enabled, the ACK covering our FIN
-                // promotes FIN-WAIT-1 → FIN-WAIT-2 (a FIN riding the
-                // same segment then lands in TIME_WAIT below).
-                if self.lifecycle_enabled
-                    && self.state == TcpState::FinWait
-                    && self.fin_sent
-                    && self.snd_una == self.snd_nxt
+                // The ACK covering our FIN promotes FIN-WAIT-1 →
+                // FIN-WAIT-2 (a FIN riding the same segment then lands
+                // in TIME_WAIT below).
+                if self.state == TcpState::FinWait && self.fin_sent && self.snd_una == self.snd_nxt
                 {
                     self.state = TcpState::FinWait2;
                 }
@@ -1775,16 +1600,11 @@ impl Tcb {
                             ack: true,
                             ..Default::default()
                         });
-                    // Both FINs exchanged. With the lifecycle on, park
-                    // in TIME_WAIT for the stack's 2MSL reaper (a
-                    // retransmitted peer FIN still finds us and our
-                    // final ACK can be regenerated); without it, the
-                    // legacy direct close.
-                    self.state = if self.lifecycle_enabled {
-                        TcpState::TimeWait
-                    } else {
-                        TcpState::Closed
-                    };
+                    // Both FINs exchanged: park in TIME_WAIT for the
+                    // stack's 2MSL reaper (a retransmitted peer FIN
+                    // still finds us and our final ACK can be
+                    // regenerated).
+                    self.state = TcpState::TimeWait;
                 }
             }
             TcpState::TimeWait => {
@@ -2009,11 +1829,11 @@ impl Tcb {
     }
 
     /// Records a duplicate data arrival for D-SACK reporting
-    /// (RFC 2883) — only when the SACK machinery is on and the peer
-    /// negotiated it; at most one pending report (the newest wins),
-    /// emitted as the first block of exactly one SACK option.
+    /// (RFC 2883) — only when the peer negotiated SACK; at most one
+    /// pending report (the newest wins), emitted as the first block of
+    /// exactly one SACK option.
     fn note_dsack(&mut self, seq: u32, end: u32) {
-        if self.sack_enabled && self.peer_sack_ok {
+        if self.peer_sack_ok {
             self.dsack_pending = Some((seq, end));
         }
     }
@@ -2029,7 +1849,7 @@ impl Tcb {
     /// to the first pure ACK it emits (data frames can't carry
     /// options — the GSO cutter assumes a bare header).
     pub fn fill_sack_option(&mut self, buf: &mut [u8; TCP_MAX_OPT_LEN]) -> usize {
-        if !self.sack_enabled || !self.peer_sack_ok {
+        if !self.peer_sack_ok {
             self.dsack_pending = None;
             return 0;
         }
@@ -2173,8 +1993,6 @@ impl Tcb {
         self.reo_deadline_ns = None;
         self.tlp_deadline_ns = None;
         self.tlp_pending = false;
-        self.pace_deadline_ns = None;
-        self.pace_budget = 0;
     }
 
     /// Queues application data for transmission, accepting at most the
@@ -2506,28 +2324,13 @@ impl Tcb {
             emit(header, None);
             emitted_ack = true;
         }
-        // Pacing gate: during a loss episode (recovery or a backed-off
-        // RTO) the budget meters how many bytes one poll may emit —
-        // retransmissions and post-RTO slow-start data alike — and the
-        // timer wheel releases the next quantum over the SRTT instead
-        // of the whole window leaving as one burst. Outside an episode
-        // the gate is inert: the lossless path is byte-identical with
-        // pacing compiled in and armed.
-        let pacing = self.pacing_active();
-        let mut pace_starved = false;
-        if !pacing {
-            self.pace_deadline_ns = None;
-            self.pace_budget = 0;
-        } else if self.pace_budget == 0 && self.pace_deadline_ns.is_none() {
-            // Fresh episode: the first quantum is free.
-            self.pace_budget = self.pace_quantum();
-        }
         // Retransmission first: a requested re-emission (RTO fire,
         // fast retransmit, NewReno partial ACK, SACK evidence) goes
         // out before any new data — the peer is stalled on exactly
         // these bytes. With a populated scoreboard the hole-walk
-        // re-emits every known hole surgically; without one, the
-        // legacy single extent at `snd_una`. Either way the extent
+        // re-emits every known hole surgically; without one (no loss
+        // reported above the hole yet, or a peer without SACK), the
+        // single extent at `snd_una`. Either way the extent
         // *is* the original frame's payload buffer (headers stripped,
         // headroom restored), moved back out of the retransmission
         // queue without a copy; its next return re-files it.
@@ -2544,8 +2347,8 @@ impl Tcb {
                 .rtx_q
                 .front()
                 .is_some_and(|&(seq, _, _)| seq == self.snd_una);
-            if self.sack_enabled && !self.sacked.is_empty() {
-                emitted_ack |= self.hole_walk(&mut emit, pacing, &mut pace_starved);
+            if !self.sacked.is_empty() {
+                emitted_ack |= self.hole_walk(&mut emit);
                 if front_home {
                     self.rtx_request = false;
                 }
@@ -2558,23 +2361,7 @@ impl Tcb {
                     debug_assert!(false, "rtx_q emptied between front() and pop_front()");
                     return;
                 };
-                let window = self.rcv_window();
-                self.last_adv_wnd = window;
-                let header = TcpHeader {
-                    src_port: self.local_port,
-                    dst_port: self.remote_port,
-                    seq: start,
-                    ack: self.rcv_nxt,
-                    flags: TcpFlags {
-                        ack: true,
-                        psh: true,
-                        ..Default::default()
-                    },
-                    window,
-                };
-                self.stat_retransmits += 1;
-                self.rtt_probe = None; // Karn.
-                emit(header, Some(nb));
+                self.emit_rtx(start, nb, &mut emit);
                 emitted_ack = true;
             }
             // If the front extent is not at `snd_una` (still in flight
@@ -2594,23 +2381,7 @@ impl Tcb {
                     | TcpState::LastAck
             ) {
                 if let Some((start, _, nb)) = self.rtx_q.pop_back() {
-                    let window = self.rcv_window();
-                    self.last_adv_wnd = window;
-                    let header = TcpHeader {
-                        src_port: self.local_port,
-                        dst_port: self.remote_port,
-                        seq: start,
-                        ack: self.rcv_nxt,
-                        flags: TcpFlags {
-                            ack: true,
-                            psh: true,
-                            ..Default::default()
-                        },
-                        window,
-                    };
-                    self.stat_retransmits += 1;
-                    self.rtt_probe = None; // Karn.
-                    emit(header, Some(nb));
+                    self.emit_rtx(start, nb, &mut emit);
                     emitted_ack = true;
                 }
             }
@@ -2630,16 +2401,7 @@ impl Tcb {
                 if window_room == 0 {
                     break; // Tx window closed; data stays queued.
                 }
-                if pacing && self.pace_budget == 0 {
-                    // Quantum spent: the rest of this window leaves on
-                    // the next pacing release, not in this burst.
-                    pace_starved = true;
-                    break;
-                }
-                let mut n = self.send_q_len.min(max_seg).min(window_room);
-                if pacing {
-                    n = n.min(self.pace_budget);
-                }
+                let n = self.send_q_len.min(max_seg).min(window_room);
                 let last = n == self.send_q_len;
                 let header = self.make_header(TcpFlags {
                     ack: true,
@@ -2650,9 +2412,6 @@ impl Tcb {
                 emit(header, Some(chain));
                 emitted_ack = true;
                 self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
-                if pacing {
-                    self.pace_budget -= n;
-                }
                 if self.rtt_probe.is_none() && self.backoff == 0 {
                     // Time this flight for the RFC 6298 estimator.
                     self.rtt_probe = Some((self.snd_nxt, self.now_ns));
@@ -2749,9 +2508,7 @@ impl Tcb {
         if self.state == TcpState::Closed || self.snd_una == self.snd_nxt {
             self.reo_deadline_ns = None;
             self.tlp_deadline_ns = None;
-            self.pace_deadline_ns = None;
-        } else if self.rack_enabled
-            && !self.in_recovery
+        } else if !self.in_recovery
             && !self.tlp_consumed
             && self.tlp_deadline_ns.is_none()
             && matches!(
@@ -2769,12 +2526,6 @@ impl Tcb {
             };
             self.tlp_deadline_ns = Some(self.now_ns.saturating_add(pto.max(TLP_MIN_NS)));
         }
-        if pace_starved && self.pace_deadline_ns.is_none() {
-            self.pace_deadline_ns = Some(
-                self.now_ns
-                    .saturating_add((self.srtt_ns / 8).max(PACE_INTERVAL_MIN_NS)),
-            );
-        }
     }
 
     /// The SACK scoreboard's surgical retransmission pass (see
@@ -2783,23 +2534,19 @@ impl Tcb {
     /// extents below the highest SACKed byte that the scoreboard does
     /// not cover — the holes. Returns whether anything was emitted.
     ///
-    /// Guards against re-sending a hole every ACK: with RACK on, an
-    /// extent is eligible only once its last transmission is at least
-    /// `srtt + reo_wnd` old (a just-retransmitted extent gets its
-    /// round trip); with RACK off, the episode mark admits each hole
-    /// once per episode. The pacing/cwnd budget caps the walk's total
-    /// bytes, but the first eligible extent always goes (forward
-    /// progress).
-    fn hole_walk<F>(&mut self, emit: &mut F, pacing: bool, pace_starved: &mut bool) -> bool
+    /// Guards against re-sending a hole every ACK: an extent is
+    /// eligible only once its last transmission is at least
+    /// `srtt + reo_wnd` old (RACK: a just-retransmitted extent gets
+    /// its round trip). The cwnd budget caps the walk's total bytes,
+    /// but the first eligible extent always goes (forward progress).
+    fn hole_walk<F>(&mut self, emit: &mut F) -> bool
     where
         F: FnMut(TcpHeader, Option<Netbuf>),
     {
         let Some(&(_, high)) = self.sacked.last() else {
             return false;
         };
-        let mut budget = if pacing {
-            self.pace_budget
-        } else if self.cc_enabled {
+        let mut budget = if self.cc_enabled {
             (self.snd_wnd as usize).min(self.cwnd).max(2 * self.mss)
         } else {
             usize::MAX
@@ -2820,19 +2567,11 @@ impl Tcb {
                 i += 1;
                 continue;
             }
-            let eligible = if self.rack_enabled {
-                self.now_ns.saturating_sub(sent) >= age_floor
-            } else {
-                Self::seq_le(self.sack_rtx_mark, seq)
-            };
-            if !eligible {
+            if self.now_ns.saturating_sub(sent) < age_floor {
                 i += 1;
                 continue;
             }
             if emitted && len > budget {
-                if pacing {
-                    *pace_starved = true;
-                }
                 break;
             }
             let Some((start, _, nb)) = self.rtx_q.remove(i) else {
@@ -2841,39 +2580,43 @@ impl Tcb {
                 debug_assert!(false, "rtx_q index went stale during hole walk");
                 break;
             };
-            let window = self.rcv_window();
-            self.last_adv_wnd = window;
-            let header = TcpHeader {
-                src_port: self.local_port,
-                dst_port: self.remote_port,
-                seq: start,
-                ack: self.rcv_nxt,
-                flags: TcpFlags {
-                    ack: true,
-                    psh: true,
-                    ..Default::default()
-                },
-                window,
-            };
-            self.stat_retransmits += 1;
             if start != self.snd_una {
                 // A hole beyond the first: the retransmission classic
                 // go-back-N recovery would only reach a round trip
                 // later (or re-send everything in between).
                 self.stat_sack_rtx += 1;
             }
-            self.rtt_probe = None; // Karn.
-            if !self.rack_enabled {
-                self.sack_rtx_mark = end;
-            }
             budget = budget.saturating_sub(len);
-            emit(header, Some(nb));
+            self.emit_rtx(start, nb, emit);
             emitted = true;
         }
-        if pacing {
-            self.pace_budget = budget;
-        }
         emitted
+    }
+
+    /// Re-emits one retransmission-queue extent at `seq` (its own
+    /// buffer, moved back out of the queue): counted, and Karn's rule
+    /// voids the in-flight RTT sample.
+    fn emit_rtx<F>(&mut self, seq: u32, nb: Netbuf, emit: &mut F)
+    where
+        F: FnMut(TcpHeader, Option<Netbuf>),
+    {
+        let window = self.rcv_window();
+        self.last_adv_wnd = window;
+        let header = TcpHeader {
+            src_port: self.local_port,
+            dst_port: self.remote_port,
+            seq,
+            ack: self.rcv_nxt,
+            flags: TcpFlags {
+                ack: true,
+                psh: true,
+                ..Default::default()
+            },
+            window,
+        };
+        self.stat_retransmits += 1;
+        self.rtt_probe = None; // Karn.
+        emit(header, Some(nb));
     }
 
     /// Owned-segment convenience over
@@ -3025,7 +2768,99 @@ mod tests {
         server.app_close();
         pump(&mut client, &mut server);
         assert_eq!(server.state, TcpState::Closed);
-        assert_eq!(client.state, TcpState::Closed);
+        // The active closer parks for the stack's 2MSL reaper.
+        assert_eq!(client.state, TcpState::TimeWait);
+    }
+
+    /// The interop path for a peer that never announced SACK-permitted:
+    /// one mid-stream segment is lost, the receiver's duplicate ACKs
+    /// arm the RACK reordering window, and its expiry retransmits the
+    /// front extent. The stream completes byte-identical, no SACK
+    /// option is ever built, and the sender's scoreboard stays empty.
+    #[test]
+    fn non_sack_peer_recovers_a_lost_segment_through_rack() {
+        let mut server = Tcb::listen(80);
+        let mut client = Tcb::connect(4000, 80, 1);
+        pump(&mut client, &mut server);
+        // Neither handshake segment carried SACK-permitted.
+        let no_opts = TcpOptions::parse(&[]);
+        let syn = TcpHeader {
+            src_port: 4000,
+            dst_port: 80,
+            seq: 1,
+            ack: 0,
+            flags: TcpFlags::SYN,
+            window: 65535,
+        };
+        server.process_options(&syn, &no_opts);
+        let syn_ack = TcpHeader {
+            flags: TcpFlags {
+                syn: true,
+                ack: true,
+                ..Default::default()
+            },
+            ..syn
+        };
+        client.process_options(&syn_ack, &no_opts);
+
+        let data: Vec<u8> = (0..8 * MSS as u32).map(|i| (i % 251) as u8).collect();
+        client.app_send(&data).unwrap();
+        let now = 1_000_000;
+        client.set_now(now);
+        server.set_now(now);
+        let mut flight = Vec::new();
+        client.poll_output_chain_with(
+            MSS,
+            || Netbuf::alloc(2048, 64),
+            |h, nb| {
+                flight.push((h, nb));
+            },
+        );
+        // Segment 2 is lost on the wire; every emitted buffer comes
+        // home to the retransmission queue (the stack's TX reclaim),
+        // and each arrival is answered before the next one lands.
+        let mut sack_opt = [0u8; TCP_MAX_OPT_LEN];
+        let mut lost = None;
+        for (i, (h, nb)) in flight.into_iter().enumerate() {
+            let nb = nb.expect("only data leaves after the handshake");
+            let bytes: Vec<u8> = nb.chain_segments().flatten().copied().collect();
+            assert!(client
+                .rtx_return(h.seq, now, Netbuf::from_slice(&bytes))
+                .is_none());
+            if i == 2 {
+                lost = Some(h.seq);
+                continue;
+            }
+            server.on_segment(&h, &bytes);
+            assert_eq!(
+                server.fill_sack_option(&mut sack_opt),
+                0,
+                "no SACK to a non-SACK peer"
+            );
+            for a in server.poll_output() {
+                client.on_segment(&a.header, &a.payload);
+            }
+            assert!(client.sacked_ranges().is_empty(), "scoreboard stays empty");
+        }
+        let lost = lost.unwrap();
+        assert_eq!(client.snd_una(), lost, "cumulative ACK stops at the hole");
+
+        // Duplicate ACKs only armed the reordering window; its expiry
+        // declares the loss and the front extent goes out again.
+        let deadline = client.rack_deadline().expect("dup ACKs armed RACK");
+        client.on_rack_timeout(deadline);
+        assert_eq!(client.fast_retransmits(), 1);
+        let rtx = client.poll_output();
+        assert_eq!(rtx.len(), 1, "exactly the front extent is retransmitted");
+        assert_eq!(rtx[0].header.seq, lost);
+        server.on_segment(&rtx[0].header, &rtx[0].payload);
+        for a in server.poll_output() {
+            client.on_segment(&a.header, &a.payload);
+        }
+        assert_eq!(server.app_recv(usize::MAX), data, "byte-identical");
+        assert_eq!(client.bytes_in_flight(), 0, "everything acknowledged");
+        assert!(client.sacked_ranges().is_empty());
+        assert_eq!(client.sack_rtx(), 0, "no hole-walk without a scoreboard");
     }
 
     #[test]

@@ -1438,8 +1438,9 @@ mod tests {
         let got = net.stack(1).tcp_recv(conn, 1024).unwrap();
         assert_eq!(got, payload, "data accepted despite the early FIN");
         // The reordered FIN was dropped, not processed out of order:
-        // the connection is still Established (no clock is armed here,
-        // so the peer's FIN retransmission never fires — the sequence
+        // the connection is still Established (the stacks' clocks
+        // never move here, so the peer's FIN retransmission never
+        // fires — the sequence
         // space staying intact is the property under test).
         assert_eq!(
             net.stack(1).tcp_state(conn),

@@ -116,44 +116,6 @@ fn patterned(len: usize, mul: u32) -> Vec<u8> {
     (0..len as u32).map(|i| (i.wrapping_mul(mul) % 251) as u8).collect()
 }
 
-/// Like [`bulk_send`], but also reports how many wire steps the
-/// transfer took — the goodput measure the ablation tests compare.
-fn bulk_send_counting(
-    net: &mut Network,
-    client: SocketHandle,
-    conn: SocketHandle,
-    data: &[u8],
-    rounds: usize,
-) -> (Vec<u8>, usize) {
-    let mut got = Vec::with_capacity(data.len());
-    let mut sent = 0;
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut used = rounds;
-    for round in 0..rounds {
-        if sent < data.len() {
-            let n = net
-                .stack(0)
-                .tcp_send_queued(client, &data[sent..])
-                .unwrap_or(0);
-            sent += n;
-            net.stack(0).flush_output().unwrap();
-        }
-        net.step();
-        loop {
-            let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            got.extend_from_slice(&buf[..n]);
-        }
-        if got.len() == data.len() {
-            used = round + 1;
-            break;
-        }
-    }
-    (got, used)
-}
-
 /// The tentpole satellite: a 1 MB bulk transfer completes
 /// byte-identical with every 7th wire frame silently dropped, the
 /// recovery visible in the retransmission counters, and every pooled
@@ -420,65 +382,42 @@ fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
-/// The SACK tentpole: the same multi-hole drop schedule runs once
-/// with the scoreboard on and once with it off. With SACK the sender
+/// The SACK scoreboard: a multi-hole drop schedule where the sender
 /// retransmits *only the holes* (the `sack_rtx` counter proves the
-/// hole-walk ran past the first hole) and the transfer needs no more
-/// wire time than blind go-back-N recovery. Congestion control is off
-/// so flights stay window-limited (~45 MSS): a 1-in-8 drop then
-/// leaves several holes per window, which is the multi-hole episode
-/// the scoreboard exists for. (With NewReno on, cwnd collapses after
-/// every drop and recovery degenerates to single-segment RTOs — the
-/// scoreboard never gets a second hole to walk.)
+/// hole-walk ran past the first hole). Congestion control is off so
+/// flights stay window-limited (~45 MSS): a 1-in-8 drop then leaves
+/// several holes per window, which is the multi-hole episode the
+/// scoreboard exists for.
 #[test]
 fn sack_scoreboard_retransmits_only_the_holes() {
-    let run = |sack: bool| {
-        let mut net = clocked_net_cfg(5_000_000, |cfg| {
-            cfg.sack = sack;
-            cfg.rack = false; // Isolate the scoreboard dimension.
-            cfg.pacing = false;
-            cfg.congestion_control = false;
-        });
-        let (client, conn) = establish(&mut net, 9010);
-        net.set_drop_every(8);
-        let blob = patterned(300_000, 23);
-        let (got, steps) = bulk_send_counting(&mut net, client, conn, &blob, 20_000);
-        assert_eq!(got, blob, "byte-identical (sack={sack})");
-        let (sack_rtx, _, _, _, _) = net.stack(0).tcp_recovery_stats(client);
-        let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
-        assert!(rtx > 0, "losses were repaired (sack={sack})");
-        net.set_drop_every(0);
-        net.run_until_quiet(64);
-        assert_eq!(net.stack(0).pool_available(), Some(POOL));
-        assert_eq!(net.stack(1).pool_available(), Some(POOL));
-        (steps, sack_rtx)
-    };
-    let (steps_on, sack_rtx_on) = run(true);
-    let (steps_off, sack_rtx_off) = run(false);
+    let mut net = clocked_net_cfg(5_000_000, |cfg| {
+        cfg.congestion_control = false;
+    });
+    let (client, conn) = establish(&mut net, 9010);
+    net.set_drop_every(8);
+    let blob = patterned(300_000, 23);
+    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
+    assert_eq!(got, blob, "byte-identical");
+    let (sack_rtx, _, _, _) = net.stack(0).tcp_recovery_stats(client);
+    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    assert!(rtx > 0, "losses were repaired");
     assert!(
-        sack_rtx_on > 0,
+        sack_rtx > 0,
         "the scoreboard drove hole retransmissions beyond the first hole"
     );
-    assert_eq!(sack_rtx_off, 0, "no scoreboard activity with the ablation off");
-    // Wall-clock parity bound: surgical recovery must not be slower
-    // than go-back-N beyond schedule noise (the deterministic drop
-    // cadence also eats some of the hole retransmissions themselves).
-    assert!(
-        steps_on <= steps_off + steps_off / 4,
-        "surgical recovery within 25% of go-back-N ({steps_on} vs {steps_off} steps)"
-    );
+    net.set_drop_every(0);
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
-/// The RACK tentpole, part 1: a reorder-prone but lossless wire
-/// (duplicated ACKs + adjacent data reorder) must trigger *zero*
-/// retransmissions of any kind with RACK on — the reordering window
-/// waits half an SRTT, sees the cumulative ACK advance, and never
-/// declares loss.
+/// RACK, part 1: a reorder-prone but lossless wire (duplicated ACKs
+/// and adjacent data reorder) must trigger *zero* retransmissions of
+/// any kind — the reordering window waits half an SRTT, sees the
+/// cumulative ACK advance, and never declares loss.
 #[test]
 fn rack_reordering_window_suppresses_false_fast_retransmits() {
-    let mut net = clocked_net_cfg(5_000_000, |cfg| {
-        cfg.rack = true;
-    });
+    let mut net = clocked_net_cfg(5_000_000, |_| {});
     let (client, conn) = establish(&mut net, 9011);
     // Duplicated ACKs + adjacent data reorder: classic dup-ACK
     // noise with nothing actually lost.
@@ -498,38 +437,26 @@ fn rack_reordering_window_suppresses_false_fast_retransmits() {
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
-/// The RACK tentpole, part 2: on a wire that both drops and reorders,
-/// the time-based reordering window converts timeout recoveries into
-/// timely fast recoveries — far fewer RTO fires than the legacy
-/// 3-dup-ACK threshold, which keeps stalling until the 200 ms floor
-/// because reordered ACK noise resets its dup-ACK count.
+/// RACK, part 2: on a wire that both drops and reorders, the
+/// time-based reordering window recovers through timely fast
+/// recoveries instead of stalling until the 200 ms RTO floor, and the
+/// stream arrives byte-identical.
 #[test]
 fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
-    let run = |rack: bool| {
-        let mut net = clocked_net_cfg(5_000_000, |cfg| {
-            cfg.rack = rack;
-            cfg.congestion_control = false; // Window-limited flights.
-        });
-        let (client, conn) = establish(&mut net, 9016);
-        net.set_drop_every(8);
-        net.set_reorder_every(3);
-        let blob = patterned(300_000, 59);
-        let got = bulk_send(&mut net, client, conn, &blob, 20_000);
-        assert_eq!(got, blob, "byte-identical (rack={rack})");
-        let (rto, _, _, _) = net.stack(0).tcp_loss_stats(client);
-        net.set_drop_every(0);
-        net.set_reorder_every(0);
-        net.run_until_quiet(64);
-        assert_eq!(net.stack(0).pool_available(), Some(POOL));
-        assert_eq!(net.stack(1).pool_available(), Some(POOL));
-        rto
-    };
-    let rto_rack = run(true);
-    let rto_legacy = run(false);
-    assert!(
-        rto_rack < rto_legacy,
-        "RACK recovers before the RTO floor ({rto_rack} vs {rto_legacy} RTO fires)"
-    );
+    let mut net = clocked_net_cfg(5_000_000, |cfg| {
+        cfg.congestion_control = false; // Window-limited flights.
+    });
+    let (client, conn) = establish(&mut net, 9016);
+    net.set_drop_every(8);
+    net.set_reorder_every(3);
+    let blob = patterned(300_000, 59);
+    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
+    assert_eq!(got, blob, "byte-identical");
+    net.set_drop_every(0);
+    net.set_reorder_every(0);
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
 }
 
 /// The tail-loss probe: the last segment of a flight is dropped, so
@@ -538,9 +465,7 @@ fn rack_converts_rto_stalls_into_fast_recoveries_under_reorder() {
 /// single RTO fire.
 #[test]
 fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
-    let mut net = clocked_net_cfg(5_000_000, |cfg| {
-        cfg.rack = true;
-    });
+    let mut net = clocked_net_cfg(5_000_000, |_| {});
     let (client, conn) = establish(&mut net, 9012);
     // Warm up: a clean transfer seeds the RTT estimator.
     let warm = patterned(64_000, 19);
@@ -563,31 +488,9 @@ fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
     }
     assert_eq!(&got[..], b"the tail of the flight", "the tail arrived");
     let (rto, _, _, _) = net.stack(0).tcp_loss_stats(client);
-    let (_, _, tlp, _, _) = net.stack(0).tcp_recovery_stats(client);
+    let (_, _, tlp, _) = net.stack(0).tcp_recovery_stats(client);
     assert_eq!(rto, 0, "rescued before the RTO (30 steps ≪ 200 ms floor × backoff)");
     assert!(tlp >= 1, "the probe fired");
-    net.run_until_quiet(64);
-    assert_eq!(net.stack(0).pool_available(), Some(POOL));
-    assert_eq!(net.stack(1).pool_available(), Some(POOL));
-}
-
-/// The pacing gate: with `pacing` on, recovery emission is metered
-/// over the SRTT instead of leaving as one burst — the release
-/// counter proves the gate engaged, and the stream still completes
-/// byte-identical.
-#[test]
-fn paced_recovery_meters_the_retransmission_burst() {
-    let mut net = clocked_net_cfg(5_000_000, |cfg| {
-        cfg.pacing = true;
-    });
-    let (client, conn) = establish(&mut net, 9013);
-    net.set_drop_every(8);
-    let blob = patterned(300_000, 43);
-    let got = bulk_send(&mut net, client, conn, &blob, 20_000);
-    assert_eq!(got, blob, "byte-identical with paced recovery");
-    let (_, _, _, paced, _) = net.stack(0).tcp_recovery_stats(client);
-    assert!(paced > 0, "the pacing gate released recovery emission");
-    net.set_drop_every(0);
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));
@@ -620,7 +523,7 @@ fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
     let blob = patterned(300_000, 47);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream complete despite shedding");
-    let (_, _, _, _, shed) = net.stack(1).tcp_recovery_stats(conn);
+    let (_, _, _, shed) = net.stack(1).tcp_recovery_stats(conn);
     assert!(shed > 0, "pool pressure shed out-of-order extents");
     net.set_drop_burst(0, 0);
     net.run_until_quiet(64);
