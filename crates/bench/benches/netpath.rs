@@ -73,6 +73,7 @@ use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::VirtioNet;
 use uknetstack::stack::{NetStack, SocketHandle, StackConfig};
+use uknetstack::tcp::TcpCounters;
 use uknetstack::testnet::Network;
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
@@ -621,16 +622,9 @@ impl LossHarness {
         }
     }
 
-    /// `(rto_fires, retransmits, fast_retransmits)` on the sender.
-    fn loss_stats(&mut self) -> (u64, u64, u64) {
-        let (rto, rtx, fast, _) = self.net.stack(self.ci).tcp_loss_stats(self.client);
-        (rto, rtx, fast)
-    }
-
-    /// `(sack_rtx, spurious_rtx, tlp_probes)` on the sender.
-    fn recovery_stats(&mut self) -> (u64, u64, u64) {
-        let (sack_rtx, spur, tlp, _) = self.net.stack(self.ci).tcp_recovery_stats(self.client);
-        (sack_rtx, spur, tlp)
+    /// The sender's per-connection counters.
+    fn counters(&mut self) -> TcpCounters {
+        self.net.stack(self.ci).tcp_counters(self.client)
     }
 
     fn tx_frames(&mut self) -> u64 {
@@ -1236,7 +1230,7 @@ fn ablation_report(json_path: Option<&str>) {
             for _ in 0..2 {
                 h.transfer(LOSS_TOTAL);
             }
-            let (rto0, rtx0, fast0) = h.loss_stats();
+            let c0 = h.counters();
             let sbase = ukstats::snapshot();
             let start = Instant::now();
             for _ in 0..reps {
@@ -1244,7 +1238,7 @@ fn ablation_report(json_path: Option<&str>) {
             }
             let elapsed = start.elapsed().as_secs_f64();
             let stats = stats_delta_json(&sbase);
-            let (rto, rtx, fast) = h.loss_stats();
+            let d = h.counters().since(&c0);
             let total = (LOSS_TOTAL as u64 * reps) as f64;
             loss_rows.push(LossRow {
                 name: format!(
@@ -1256,9 +1250,9 @@ fn ablation_report(json_path: Option<&str>) {
                 bytes_per_s: total / elapsed,
                 mib_per_s: total / elapsed / (1024.0 * 1024.0),
                 goodput_vs_lossless: 0.0, // Filled against the baseline below.
-                rto_fires: rto - rto0,
-                retransmits: rtx - rtx0,
-                fast_retransmits: fast - fast0,
+                rto_fires: d.rto_fires,
+                retransmits: d.retransmits,
+                fast_retransmits: d.fast_retransmits,
                 stats,
             });
         }
@@ -1337,8 +1331,7 @@ fn ablation_report(json_path: Option<&str>) {
         for _ in 0..3 {
             h.transfer(LOSS_TOTAL); // Warm reps on the armed wire.
         }
-        let (rto0, rtx0, fast0) = h.loss_stats();
-        let (srtx0, spur0, tlp0) = h.recovery_stats();
+        let c0 = h.counters();
         let frames0 = h.tx_frames();
         let steps0 = h.steps;
         let sbase = ukstats::snapshot();
@@ -1353,8 +1346,7 @@ fn ablation_report(json_path: Option<&str>) {
         let allocs = counter.allocs();
         let stats = stats_delta_json(&sbase);
         let frames = (h.tx_frames() - frames0).max(1);
-        let (rto, rtx, fast) = h.loss_stats();
-        let (srtx, spur, tlp) = h.recovery_stats();
+        let d = h.counters().since(&c0);
         let total = (LOSS_TOTAL as u64 * reps) as f64;
         rec_rows.push(RecoveryRow {
             name: format!("tcp_recovery_1mb/{wlabel}"),
@@ -1367,12 +1359,12 @@ fn ablation_report(json_path: Option<&str>) {
             goodput_vs_lossless: 0.0, // Filled below.
             wire_steps,
             allocs_per_frame: allocs as f64 / frames as f64,
-            rto_fires: rto - rto0,
-            retransmits: rtx - rtx0,
-            fast_retransmits: fast - fast0,
-            sack_rtx: srtx - srtx0,
-            spurious_rtx: spur - spur0,
-            tlp_probes: tlp - tlp0,
+            rto_fires: d.rto_fires,
+            retransmits: d.retransmits,
+            fast_retransmits: d.fast_retransmits,
+            sack_rtx: d.sack_rtx,
+            spurious_rtx: d.spurious_rtx,
+            tlp_probes: d.tlp_probes,
             stats,
         });
     }

@@ -1,8 +1,11 @@
-//! Allocation statistics shared by all backends, plus a process-wide
-//! heap-allocation counter for asserting allocation-free hot paths.
+//! Allocation statistics shared by all backends, plus process-wide and
+//! per-thread heap-allocation counters for asserting allocation-free
+//! hot paths.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::LocalKey;
 
 /// Counters every backend maintains; the basis of the memory-footprint
 /// experiments (paper Fig 11 reports minimum memory to run each app).
@@ -52,12 +55,32 @@ static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of heap frees.
 static HEAP_FREES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's heap allocations and frees (what [`AllocCounter`]
+    /// reads). Const-initialised `Cell`s have no destructor and no lazy
+    /// initialisation, so bumping them from inside the allocator never
+    /// re-enters it.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one event on the process-wide and the calling thread's counter.
+fn bump(global: &AtomicU64, local: &'static LocalKey<Cell<u64>>) {
+    global.fetch_add(1, Ordering::Relaxed);
+    let _ = local.try_with(|c| c.set(c.get() + 1));
+}
+
+/// The calling thread's value of a per-thread counter.
+fn thread_count(local: &'static LocalKey<Cell<u64>>) -> u64 {
+    local.try_with(Cell::get).unwrap_or(0)
+}
+
 /// A counting wrapper around the system allocator.
 ///
 /// Install it as the binary's global allocator to make
-/// [`AllocCounter`] observe every heap allocation the process
-/// performs — reallocations count as allocations, frees are tracked
-/// separately:
+/// [`heap_alloc_count`] observe every heap allocation the process
+/// performs, and [`AllocCounter`] every one its own thread performs —
+/// reallocations count as allocations, frees are tracked separately:
 ///
 /// ```ignore
 /// #[global_allocator]
@@ -74,18 +97,19 @@ pub struct CountingAlloc;
 // SAFETY: a pure pass-through to `std::alloc::System` — every method
 // forwards its arguments unchanged, so `System`'s own `GlobalAlloc`
 // contract (layout validity, pointer provenance, no unwinding) is
-// upheld verbatim; the counter bumps are side-effect-free atomics.
+// upheld verbatim; the counter bumps are side-effect-free atomics and
+// const-initialised thread-local cells that never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds `GlobalAlloc::alloc`'s contract (non-zero
     // sized, valid layout); we forward it to `System` untouched.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&HEAP_ALLOCS, &THREAD_ALLOCS);
         System.alloc(layout)
     }
 
     // SAFETY: same pass-through contract as `alloc` above.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&HEAP_ALLOCS, &THREAD_ALLOCS);
         System.alloc_zeroed(layout)
     }
 
@@ -95,15 +119,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // "allocation-free hot path" claims are concerned, paired with
     // a free of the old block so allocs/frees stay balanced.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        HEAP_FREES.fetch_add(1, Ordering::Relaxed);
+        bump(&HEAP_ALLOCS, &THREAD_ALLOCS);
+        bump(&HEAP_FREES, &THREAD_FREES);
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: caller guarantees `ptr`/`layout` match the original
     // allocation (the `GlobalAlloc::dealloc` contract); forwarded.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        HEAP_FREES.fetch_add(1, Ordering::Relaxed);
+        bump(&HEAP_FREES, &THREAD_FREES);
         System.dealloc(ptr, layout)
     }
 }
@@ -141,9 +165,11 @@ pub fn publish_alloc_stats(stats: &AllocStats) {
     ukstats::Gauge::register("ukalloc.meta_bytes").set(stats.meta_bytes as u64);
 }
 
-/// A scoped view over the global heap counters: snapshot at
+/// A scoped view over the calling thread's heap counters: snapshot at
 /// [`start`](AllocCounter::start), read the delta with
-/// [`allocs`](AllocCounter::allocs).
+/// [`allocs`](AllocCounter::allocs) on the same thread. Allocations
+/// other threads make meanwhile (a test harness, say) stay out of the
+/// window; [`heap_alloc_count`] is the process-wide total.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocCounter {
     start_allocs: u64,
@@ -154,19 +180,19 @@ impl AllocCounter {
     /// Snapshots the counters.
     pub fn start() -> Self {
         AllocCounter {
-            start_allocs: heap_alloc_count(),
-            start_frees: heap_free_count(),
+            start_allocs: thread_count(&THREAD_ALLOCS),
+            start_frees: thread_count(&THREAD_FREES),
         }
     }
 
-    /// Heap allocations since the snapshot.
+    /// This thread's heap allocations since the snapshot.
     pub fn allocs(&self) -> u64 {
-        heap_alloc_count() - self.start_allocs
+        thread_count(&THREAD_ALLOCS) - self.start_allocs
     }
 
-    /// Heap frees since the snapshot.
+    /// This thread's heap frees since the snapshot.
     pub fn frees(&self) -> u64 {
-        heap_free_count() - self.start_frees
+        thread_count(&THREAD_FREES) - self.start_frees
     }
 
     /// Runs `f` and returns its result plus the allocations it

@@ -112,8 +112,8 @@ use crate::flow::{flow_key, FlowTable};
 use crate::icmp::{self, ICMP_ECHO_LEN};
 use crate::ipv4::{IpProto, Ipv4Header, IPV4_HDR_LEN};
 use crate::tcp::{
-    Tcb, TcpFlags, TcpHeader, TcpOptions, TcpState, MSS, SACK_PERMITTED_OPT, TCP_HDR_LEN,
-    TCP_MAX_OPT_LEN,
+    Tcb, TcpCounters, TcpFlags, TcpHeader, TcpOptions, TcpState, MSS, SACK_PERMITTED_OPT,
+    TCP_HDR_LEN, TCP_MAX_OPT_LEN,
 };
 use crate::timer::{TimerToken, TimerWheel};
 use crate::udp::{UdpHeader, UDP_HDR_LEN};
@@ -422,6 +422,26 @@ struct TcpConn {
     dirty: bool,
 }
 
+impl TcpConn {
+    /// Puts the connection (living in `slot`) on the stack's dirty
+    /// list, once.
+    fn mark_dirty(&mut self, slot: u32, dirty: &mut Vec<u32>) {
+        if !self.dirty {
+            self.dirty = true;
+            dirty.push(slot);
+        }
+    }
+}
+
+/// Returns a buffer chain to the pool; without one, still unlinks the
+/// chain so its fragments drop flat.
+fn give_back(pool: &mut Option<NetbufPool>, mut nb: Netbuf) {
+    match pool.as_mut() {
+        Some(p) => p.give_back_chain(nb),
+        None => while nb.pop_frag().is_some() {},
+    }
+}
+
 /// One slab slot: the generation tag survives the connection, so a
 /// handle minted for a reaped incarnation fails the lookup instead of
 /// aliasing the slot's next occupant.
@@ -470,42 +490,147 @@ struct TcpListener {
     accepted_total: u64,
 }
 
-/// Stack statistics.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StackStats {
+/// Declares the stack's counters in one table: each entry becomes a
+/// plain `u64` field of [`StackStats`] plus its `netstack.*` registry
+/// name in [`StackStats::NAMES`].
+macro_rules! stack_stats {
+    ($($(#[doc = $doc:literal])+ $field:ident => $name:literal,)+) => {
+        /// The stack's event counters — its only counter store. The
+        /// datapath bumps these plain fields in place; the end of every
+        /// TX flush (the exit of [`NetStack::pump`] and of every send
+        /// path) adds their growth to the global `ukstats` registry
+        /// under [`NAMES`](Self::NAMES), so the registry lags a stack
+        /// by at most its unflushed work (drops counted by
+        /// [`NetStack::deliver_burst`] wait for the next flush).
+        #[derive(Debug, Default, Clone, Copy)]
+        pub struct StackStats {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        impl StackStats {
+            /// Registry name of every field, in declaration order.
+            pub const NAMES: [&'static str; [$($name),+].len()] = [$($name),+];
+
+            /// Every field's value, in the order of [`NAMES`](Self::NAMES).
+            pub fn values(&self) -> [u64; Self::NAMES.len()] {
+                [$(self.$field),+]
+            }
+        }
+    };
+}
+
+/// The registry side of [`StackStats`]: one `ukstats` counter per
+/// field, plus the values last published into them.
+struct StatsPublisher {
+    handles: [ukstats::Counter; StackStats::NAMES.len()],
+    last: [u64; StackStats::NAMES.len()],
+}
+
+impl StatsPublisher {
+    fn register() -> Self {
+        StatsPublisher {
+            handles: StackStats::NAMES.map(ukstats::Counter::register),
+            last: [0; StackStats::NAMES.len()],
+        }
+    }
+
+    /// Adds each field's growth since the last publish to its registry
+    /// counter (one relaxed atomic add per field that moved).
+    fn publish(&mut self, stats: &StackStats) {
+        if !ukstats::COMPILED_IN {
+            return;
+        }
+        for ((h, last), v) in self.handles.iter().zip(&mut self.last).zip(stats.values()) {
+            if v != *last {
+                h.add(v - *last);
+                *last = v;
+            }
+        }
+    }
+}
+
+stack_stats! {
     /// Frames received and parsed.
-    pub rx_frames: u64,
+    rx_frames => "netstack.rx_frames",
     /// Frames transmitted.
-    pub tx_frames: u64,
+    tx_frames => "netstack.tx_frames",
     /// Payload bytes transmitted.
-    pub tx_bytes: u64,
+    tx_bytes => "netstack.tx_bytes",
     /// RX bursts swept by `pump` (`rx_frames / rx_bursts` is the
     /// per-burst amortization factor).
-    pub rx_bursts: u64,
+    rx_bursts => "netstack.rx_bursts",
     /// TX bursts pushed into the device.
-    pub tx_bursts: u64,
-    /// Frames whose transport checksum was offloaded to the device.
-    pub csum_offloaded: u64,
+    tx_bursts => "netstack.tx_bursts",
+    /// TCP and UDP frames whose transport checksum was offloaded to
+    /// the device.
+    csum_offloaded => "netstack.csum_offloaded",
     /// GSO super-segments handed to the device for TSO cutting (each
     /// counts once in `tx_frames` but covers many wire frames).
-    pub tso_super_frames: u64,
+    tso_super_frames => "netstack.tso_super_frames",
     /// Payload bytes that left in GSO super-segments.
-    pub tso_super_bytes: u64,
+    tso_super_bytes => "netstack.tso_super_bytes",
     /// Received frames whose software checksum verification was
     /// skipped because the wire/device marked them validated.
-    pub rx_csum_skipped: u64,
+    rx_csum_skipped => "netstack.rx_csum_skipped",
     /// Super-segments received whole as buffer chains (big receive);
     /// each counts once in `rx_frames` but covers many MSS worth of
     /// stream.
-    pub rx_super_frames: u64,
+    rx_super_frames => "netstack.rx_super_frames",
     /// GRO runs delivered: groups of ≥ 2 consecutive in-order TCP
     /// segments from one burst merged into a single multi-part ingest.
-    pub gro_runs: u64,
+    gro_runs => "netstack.gro_runs",
     /// Frames that rode those runs (`gro_merged_frames / gro_runs` is
     /// the receive-side coalescing factor).
-    pub gro_merged_frames: u64,
+    gro_merged_frames => "netstack.gro_merged_frames",
     /// Frames dropped (parse errors, unknown ports, full queues).
-    pub dropped: u64,
+    dropped => "netstack.dropped",
+    /// TCP segments claimed by a connection or listener.
+    demux_tcp => "netstack.demux_tcp",
+    /// UDP datagrams queued on a socket.
+    demux_udp => "netstack.demux_udp",
+    /// ARP frames received.
+    demux_arp => "netstack.demux_arp",
+    /// ICMP echo requests and replies received.
+    demux_icmp => "netstack.demux_icmp",
+    /// TCP segments and UDP datagrams no socket claimed.
+    demux_miss => "netstack.demux_miss",
+    /// Immediate duplicate ACKs forced by dropped ingest data.
+    dup_acks => "netstack.dup_acks",
+    /// Retransmission-timeout fires.
+    tcp_rto_fires => "netstack.tcp.rto_fires",
+    /// Segments re-emitted (data, SYN, SYN-ACK, FIN retransmissions).
+    tcp_retransmits => "netstack.tcp.retransmits",
+    /// RACK reordering windows that expired with the hole still open.
+    tcp_fast_retransmits => "netstack.tcp.fast_retransmits",
+    /// Out-of-order extents filed into reassembly queues.
+    tcp_ooo_queued => "netstack.tcp.ooo_queued",
+    /// Scoreboard-driven (SACK) hole retransmissions beyond the
+    /// cumulative-ACK front.
+    tcp_sack_rtx => "netstack.tcp.sack_rtx",
+    /// Spurious retransmissions detected via D-SACK.
+    tcp_spurious_rtx => "netstack.tcp.spurious_rtx",
+    /// Tail-loss probes fired in place of a full RTO.
+    tcp_tlp_probes => "netstack.tcp.tlp_probes",
+    /// Out-of-order extents shed under netbuf-pool pressure.
+    tcp_ooo_shed => "netstack.tcp.ooo_shed",
+    /// Connections that entered TIME_WAIT.
+    tcp_timewait => "netstack.tcp.timewait",
+    /// Connections reaped by keepalive dead-peer detection.
+    tcp_keepalive_drops => "netstack.tcp.keepalive_drops",
+    /// Listener overflow events: half-open connections evicted from a
+    /// full SYN queue plus handshake-completing ACKs dropped against a
+    /// full accept backlog.
+    tcp_syn_overflow => "netstack.tcp.syn_overflow",
+    /// RST segments generated for segments that missed the demux.
+    tcp_rst_tx => "netstack.tcp.rst_tx",
+    /// Packets parked behind an unresolved next-hop.
+    arp_parked => "netstack.arp_parked",
+    /// Parked packets evicted by the parking caps.
+    arp_evicted => "netstack.arp_evicted",
+    /// Who-has requests broadcast.
+    arp_requests_tx => "netstack.arp_requests_tx",
+    /// Completed `pump` sweeps.
+    pump_sweeps => "netstack.pump_sweeps",
 }
 
 /// Typed tracepoints of the stack datapath. Each fires into the owning
@@ -555,70 +680,16 @@ pub mod tp {
 /// Records a trace ring holds before overwriting the oldest.
 pub const TRACE_RING_CAP: usize = 1024;
 
-/// Pre-registered `ukstats` handles for the stack: every [`StackStats`]
-/// field mirrored into the global registry under `netstack.*`, plus the
-/// demux/ARP/pump observability the plain struct never carried.
-/// Registration (which may lock and allocate) happens once in
-/// [`NetStack::new`]; the hot path only ever does relaxed atomic adds
-/// on these resolved slots.
+/// The stack's registry handles that are not counts (those live in
+/// [`StackStats`]). Registration (which may lock and allocate) happens
+/// once in [`NetStack::new`].
 struct StackCounters {
-    rx_frames: ukstats::Counter,
-    tx_frames: ukstats::Counter,
-    tx_bytes: ukstats::Counter,
-    rx_bursts: ukstats::Counter,
-    tx_bursts: ukstats::Counter,
-    csum_offloaded: ukstats::Counter,
-    tso_super_frames: ukstats::Counter,
-    tso_super_bytes: ukstats::Counter,
-    rx_csum_skipped: ukstats::Counter,
-    rx_super_frames: ukstats::Counter,
-    gro_runs: ukstats::Counter,
-    gro_merged_frames: ukstats::Counter,
-    dropped: ukstats::Counter,
-    demux_tcp: ukstats::Counter,
-    demux_udp: ukstats::Counter,
-    demux_arp: ukstats::Counter,
-    demux_icmp: ukstats::Counter,
-    demux_miss: ukstats::Counter,
-    dup_acks: ukstats::Counter,
-    /// Retransmission-timeout fires across all connections.
-    tcp_rto_fires: ukstats::Counter,
-    /// Segments re-emitted (data, SYN, SYN-ACK, FIN retransmissions).
-    tcp_retransmits: ukstats::Counter,
-    /// Fast-retransmit triggers (RACK reordering window expired with
-    /// the hole still open).
-    tcp_fast_retransmits: ukstats::Counter,
-    /// Out-of-order extents filed into reassembly queues.
-    tcp_ooo_queued: ukstats::Counter,
-    /// Scoreboard-driven (SACK) hole retransmissions beyond the
-    /// cumulative-ACK front.
-    tcp_sack_rtx: ukstats::Counter,
-    /// Spurious retransmissions detected via D-SACK.
-    tcp_spurious_rtx: ukstats::Counter,
-    /// Tail-loss probes fired in place of a full RTO.
-    tcp_tlp_probes: ukstats::Counter,
-    /// Out-of-order extents shed under netbuf-pool pressure.
-    tcp_ooo_shed: ukstats::Counter,
     /// Last observed RACK reordering window (ns; most recently polled
     /// connection).
     tcp_rack_reorder_window_ns: ukstats::Gauge,
     /// Last observed congestion window (bytes; most recently polled
     /// connection).
     tcp_cwnd: ukstats::Gauge,
-    /// Connections that entered TIME_WAIT.
-    tcp_timewait: ukstats::Counter,
-    /// Connections reaped by keepalive dead-peer detection.
-    tcp_keepalive_drops: ukstats::Counter,
-    /// Listener overflow events: half-open connections evicted from a
-    /// full SYN queue plus handshake-completing ACKs dropped against a
-    /// full accept backlog.
-    tcp_syn_overflow: ukstats::Counter,
-    /// RST segments generated for segments that missed the demux.
-    tcp_rst_tx: ukstats::Counter,
-    arp_parked: ukstats::Counter,
-    arp_evicted: ukstats::Counter,
-    arp_requests_tx: ukstats::Counter,
-    pump_sweeps: ukstats::Counter,
     /// Wall-clock duration of one full `pump` sweep.
     pump_ns: ukstats::Histogram,
     /// Most pooled buffers ever in flight at once (pool high-water).
@@ -630,45 +701,10 @@ struct StackCounters {
 impl StackCounters {
     fn register() -> Self {
         StackCounters {
-            rx_frames: ukstats::Counter::register("netstack.rx_frames"),
-            tx_frames: ukstats::Counter::register("netstack.tx_frames"),
-            tx_bytes: ukstats::Counter::register("netstack.tx_bytes"),
-            rx_bursts: ukstats::Counter::register("netstack.rx_bursts"),
-            tx_bursts: ukstats::Counter::register("netstack.tx_bursts"),
-            csum_offloaded: ukstats::Counter::register("netstack.csum_offloaded"),
-            tso_super_frames: ukstats::Counter::register("netstack.tso_super_frames"),
-            tso_super_bytes: ukstats::Counter::register("netstack.tso_super_bytes"),
-            rx_csum_skipped: ukstats::Counter::register("netstack.rx_csum_skipped"),
-            rx_super_frames: ukstats::Counter::register("netstack.rx_super_frames"),
-            gro_runs: ukstats::Counter::register("netstack.gro_runs"),
-            gro_merged_frames: ukstats::Counter::register("netstack.gro_merged_frames"),
-            dropped: ukstats::Counter::register("netstack.dropped"),
-            demux_tcp: ukstats::Counter::register("netstack.demux_tcp"),
-            demux_udp: ukstats::Counter::register("netstack.demux_udp"),
-            demux_arp: ukstats::Counter::register("netstack.demux_arp"),
-            demux_icmp: ukstats::Counter::register("netstack.demux_icmp"),
-            demux_miss: ukstats::Counter::register("netstack.demux_miss"),
-            dup_acks: ukstats::Counter::register("netstack.dup_acks"),
-            tcp_rto_fires: ukstats::Counter::register("netstack.tcp.rto_fires"),
-            tcp_retransmits: ukstats::Counter::register("netstack.tcp.retransmits"),
-            tcp_fast_retransmits: ukstats::Counter::register("netstack.tcp.fast_retransmits"),
-            tcp_ooo_queued: ukstats::Counter::register("netstack.tcp.ooo_queued"),
-            tcp_sack_rtx: ukstats::Counter::register("netstack.tcp.sack_rtx"),
-            tcp_spurious_rtx: ukstats::Counter::register("netstack.tcp.spurious_rtx"),
-            tcp_tlp_probes: ukstats::Counter::register("netstack.tcp.tlp_probes"),
-            tcp_ooo_shed: ukstats::Counter::register("netstack.tcp.ooo_shed"),
             tcp_rack_reorder_window_ns: ukstats::Gauge::register(
                 "netstack.tcp.rack_reorder_window_ns",
             ),
             tcp_cwnd: ukstats::Gauge::register("netstack.tcp.cwnd"),
-            tcp_timewait: ukstats::Counter::register("netstack.tcp.timewait"),
-            tcp_keepalive_drops: ukstats::Counter::register("netstack.tcp.keepalive_drops"),
-            tcp_syn_overflow: ukstats::Counter::register("netstack.tcp.syn_overflow"),
-            tcp_rst_tx: ukstats::Counter::register("netstack.tcp.rst_tx"),
-            arp_parked: ukstats::Counter::register("netstack.arp_parked"),
-            arp_evicted: ukstats::Counter::register("netstack.arp_evicted"),
-            arp_requests_tx: ukstats::Counter::register("netstack.arp_requests_tx"),
-            pump_sweeps: ukstats::Counter::register("netstack.pump_sweeps"),
             pump_ns: ukstats::Histogram::register("netstack.pump_ns"),
             pool_inflight_hiwater: ukstats::Gauge::register("netstack.pool_inflight_hiwater"),
             arp_parked_hiwater: ukstats::Gauge::register("netstack.arp_parked_hiwater"),
@@ -762,7 +798,9 @@ pub struct NetStack {
     arp_memo: Vec<(Ipv4Addr, Mac)>,
     /// Next-hops due a who-has re-broadcast this pump (reused).
     arp_retry_scratch: Vec<Ipv4Addr>,
-    /// Pre-registered global counter/gauge/histogram handles.
+    /// The registry counters `stats` is published into.
+    published: StatsPublisher,
+    /// Pre-registered global gauge/histogram handles.
     ustats: StackCounters,
     /// Tracepoint ring (a ZST no-op with the `trace` feature off).
     trace: uktrace::TraceRing,
@@ -864,6 +902,7 @@ impl NetStack {
             gro_cont: None,
             arp_memo: Vec::with_capacity(ARP_MEMO_SIZE),
             arp_retry_scratch: Vec::new(),
+            published: StatsPublisher::register(),
             ustats: StackCounters::register(),
             trace: uktrace::TraceRing::new(TRACE_RING_CAP),
             clock: ukplat::time::Tsc::new(1_000_000_000),
@@ -942,7 +981,8 @@ impl NetStack {
         self.config.mac
     }
 
-    /// Statistics snapshot.
+    /// This stack's counters, including work not yet published into
+    /// the `ukstats` registry (see [`StackStats`]).
     pub fn stats(&self) -> StackStats {
         self.stats
     }
@@ -977,6 +1017,12 @@ impl NetStack {
         cs.conn.as_ref()
     }
 
+    /// The handle of the connection in `slot` (one that resolves to
+    /// nothing when the slot is empty).
+    fn slot_handle(&self, slot: u32) -> usize {
+        conn_handle(slot, self.conn_slots.get(slot as usize).map_or(0, |cs| cs.gen))
+    }
+
     /// Mutable form of [`conn`](Self::conn).
     fn conn_mut(&mut self, h: usize) -> Option<&mut TcpConn> {
         let (slot, gen) = conn_parts(h)?;
@@ -1007,13 +1053,100 @@ impl NetStack {
         if let Some(cs) = self.conn_slots.get_mut(slot as usize) {
             if cs.gen == gen {
                 if let Some(c) = cs.conn.as_mut() {
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
+                    c.mark_dirty(slot, &mut self.dirty);
                 }
             }
         }
+    }
+
+    /// Folds what one TCB call counted (`after` minus `before`, two
+    /// [`Tcb::counters`] snapshots around it) into the stack's stats
+    /// and fires the matching tracepoints. `_seq` is the ingested
+    /// segment's sequence number (the `tcp_dup_ack` argument).
+    fn account_tcb(&mut self, _h: usize, _seq: u32, before: TcpCounters, after: TcpCounters) {
+        let d = after.since(&before);
+        let s = &mut self.stats;
+        s.tcp_rto_fires += d.rto_fires;
+        s.tcp_retransmits += d.retransmits;
+        s.tcp_fast_retransmits += d.fast_retransmits;
+        s.tcp_ooo_queued += d.ooo_queued;
+        s.tcp_sack_rtx += d.sack_rtx;
+        s.tcp_spurious_rtx += d.spurious_rtx;
+        s.tcp_tlp_probes += d.tlp_probes;
+        s.tcp_ooo_shed += d.ooo_shed;
+        s.dup_acks += d.dup_acks;
+        if d.rto_fires > 0 {
+            uktrace::trace!(self.trace, tp::tcp_rto_fire, _h, after.rto_fires);
+        }
+        if d.dup_acks > 0 {
+            uktrace::trace!(self.trace, tp::tcp_dup_ack, _h, _seq);
+        }
+        if d.fast_retransmits > 0 {
+            uktrace::trace!(self.trace, tp::tcp_fast_retransmit, _h, d.fast_retransmits);
+        }
+        if d.tlp_probes > 0 {
+            uktrace::trace!(self.trace, tp::tcp_tlp_probe, _h, d.tlp_probes);
+        }
+        if d.ooo_queued > 0 {
+            uktrace::trace!(self.trace, tp::tcp_ooo_queue, _h, d.ooo_queued);
+        }
+        if d.spurious_rtx > 0 {
+            uktrace::trace!(self.trace, tp::tcp_spurious_rtx, _h, d.spurious_rtx);
+        }
+        if d.ooo_shed > 0 {
+            uktrace::trace!(self.trace, tp::tcp_ooo_shed, _h, d.ooo_shed);
+        }
+        if d.retransmits > 0 {
+            uktrace::trace!(self.trace, tp::tcp_retransmit, _h, d.retransmits);
+        }
+        if d.sack_rtx > 0 {
+            uktrace::trace!(self.trace, tp::tcp_sack_rtx, _h, d.sack_rtx);
+        }
+    }
+
+    /// Ingests one segment's payload buffers (headers already pulled)
+    /// into the connection behind `h`: stamps the clock and keepalive
+    /// activity, applies the segment's TCP options, runs the TCB,
+    /// sheds the newest reassembly extents while the pool runs low
+    /// ([`LOW_POOL_BUFS`]), marks the connection dirty and accounts
+    /// its counters. Returns the connection's new state, or `None`
+    /// (buffers recycled) when `h` names no live connection.
+    fn ingest<I>(
+        &mut self,
+        h: usize,
+        tcp: &TcpHeader,
+        opts: Option<&TcpOptions>,
+        bufs: I,
+    ) -> Option<TcpState>
+    where
+        I: Iterator<Item = Netbuf>,
+    {
+        let now = self.now_ns();
+        let live = conn_parts(h).and_then(|(slot, gen)| {
+            let cs = self.conn_slots.get_mut(slot as usize).filter(|cs| cs.gen == gen)?;
+            Some((slot, cs.conn.as_mut()?))
+        });
+        let Some((slot, c)) = live else {
+            bufs.for_each(|nb| self.recycle_plain(nb));
+            return None;
+        };
+        c.tcb.set_now(now);
+        c.last_activity_ns = now;
+        c.ka_probes = 0;
+        let before = c.tcb.counters();
+        if let Some(opts) = opts {
+            c.tcb.process_options(tcp, opts);
+        }
+        let mut pool = self.pool.take();
+        c.tcb.on_segment_bufs(tcp, bufs, |b| give_back(&mut pool, b));
+        while pool.as_ref().is_some_and(|p| p.available() < LOW_POOL_BUFS)
+            && c.tcb.shed_newest_ooo(&mut |b| give_back(&mut pool, b))
+        {}
+        self.pool = pool;
+        c.mark_dirty(slot, &mut self.dirty);
+        let (state, after) = (c.tcb.state, c.tcb.counters());
+        self.account_tcb(h, tcp.seq, before, after);
+        Some(state)
     }
 
     /// Installs a connection into the slab + flow table, bumping the
@@ -1082,10 +1215,7 @@ impl NetStack {
             self.gro_cont = None;
         }
         let mut pool = self.pool.take();
-        c.tcb.drain_all_buffers(|mut nb| match pool.as_mut() {
-            Some(p) => p.give_back_chain(nb),
-            None => while nb.pop_frag().is_some() {},
-        });
+        c.tcb.drain_all_buffers(|nb| give_back(&mut pool, nb));
         self.pool = pool;
         self.conn_free.push(slot);
         uktrace::trace!(self.trace, tp::tcp_conn_reaped, h, _reason);
@@ -1591,11 +1721,7 @@ impl NetStack {
     pub fn tcp_recv_into(&mut self, conn: SocketHandle, out: &mut [u8]) -> Result<usize> {
         let mut pool = self.pool.take();
         let r = match self.conn_mut(conn.0) {
-            Some(c) => Ok(c.tcb.app_recv_into_with(out, |nb| {
-                if let Some(p) = pool.as_mut() {
-                    p.give_back_chain(nb);
-                }
-            })),
+            Some(c) => Ok(c.tcb.app_recv_into_with(out, |nb| give_back(&mut pool, nb))),
             None => Err(Errno::BadF),
         };
         self.pool = pool;
@@ -1674,37 +1800,11 @@ impl NetStack {
         self.conn(conn.0).map(|c| c.tcb.window_closed()).unwrap_or(true)
     }
 
-    /// Loss-recovery counters for one connection — cumulative
-    /// `(rto_fires, retransmits, fast_retransmits, ooo_queued)`, for
-    /// tests and diagnostics. The stack-wide `netstack.tcp.*` counters
-    /// aggregate the same values across connections.
-    pub fn tcp_loss_stats(&self, conn: SocketHandle) -> (u64, u64, u64, u64) {
-        self.conn(conn.0)
-            .map(|c| {
-                (
-                    c.tcb.rto_fires(),
-                    c.tcb.retransmits(),
-                    c.tcb.fast_retransmits(),
-                    c.tcb.ooo_queued(),
-                )
-            })
-            .unwrap_or((0, 0, 0, 0))
-    }
-
-    /// Surgical-recovery counters for one connection — cumulative
-    /// `(sack_rtx, spurious_rtx, tlp_probes, ooo_shed)`, the
-    /// companions to [`tcp_loss_stats`](Self::tcp_loss_stats).
-    pub fn tcp_recovery_stats(&self, conn: SocketHandle) -> (u64, u64, u64, u64) {
-        self.conn(conn.0)
-            .map(|c| {
-                (
-                    c.tcb.sack_rtx(),
-                    c.tcb.spurious_rtx(),
-                    c.tcb.tlp_probes(),
-                    c.tcb.ooo_shed(),
-                )
-            })
-            .unwrap_or((0, 0, 0, 0))
+    /// One connection's cumulative event counts (all zero for a
+    /// stale handle). The stack-wide `netstack.*` counters in
+    /// [`StackStats`] aggregate the same events across connections.
+    pub fn tcp_counters(&self, conn: SocketHandle) -> TcpCounters {
+        self.conn(conn.0).map(|c| c.tcb.counters()).unwrap_or_default()
     }
 
     /// Current congestion window (bytes) for one connection.
@@ -1775,13 +1875,8 @@ impl NetStack {
     }
 
     /// Pool return without retransmission interception.
-    fn recycle_plain(&mut self, mut nb: Netbuf) {
-        if let Some(pool) = self.pool.as_mut() {
-            pool.give_back_chain(nb);
-        } else {
-            // No pool: still unlink the chain so fragments drop flat.
-            while nb.pop_frag().is_some() {}
-        }
+    fn recycle_plain(&mut self, nb: Netbuf) {
+        give_back(&mut self.pool, nb);
     }
 
     /// A TCP data frame came back from the wire (TX-complete harvest or
@@ -1835,21 +1930,26 @@ impl NetStack {
     }
 
     /// Pushes staged frames into the device (one burst call per
-    /// `MAX_BURST` frames; leftovers stay staged if the ring fills).
+    /// `MAX_BURST` frames; leftovers stay staged if the ring fills),
+    /// then publishes the stack's counters into the registry.
     fn flush_tx(&mut self) -> Result<()> {
+        let mut r = Ok(());
         while !self.tx_stage.is_empty() {
-            let st = self.dev.tx_burst(0, &mut self.tx_stage)?;
-            if st.stats.frames == 0 {
-                break; // Ring full; retried on the next flush.
+            match self.dev.tx_burst(0, &mut self.tx_stage) {
+                Ok(st) if st.stats.frames > 0 => {
+                    self.stats.tx_frames += st.stats.frames as u64;
+                    self.stats.tx_bytes += st.stats.bytes as u64;
+                    self.stats.tx_bursts += 1;
+                }
+                Ok(_) => break, // Ring full; retried on the next flush.
+                Err(e) => {
+                    r = Err(e);
+                    break;
+                }
             }
-            self.stats.tx_frames += st.stats.frames as u64;
-            self.stats.tx_bytes += st.stats.bytes as u64;
-            self.stats.tx_bursts += 1;
-            self.ustats.tx_frames.add(st.stats.frames as u64);
-            self.ustats.tx_bytes.add(st.stats.bytes as u64);
-            self.ustats.tx_bursts.inc();
         }
-        Ok(())
+        self.published.publish(&self.stats);
+        r
     }
 
     /// Resolves a next-hop MAC through the per-burst memo first, then
@@ -1880,7 +1980,7 @@ impl NetStack {
         let mut anb = self.take_buf();
         anb.append(&req.encode());
         self.stage_eth(Mac::BROADCAST, EtherType::Arp, anb);
-        self.ustats.arp_requests_tx.inc();
+        self.stats.arp_requests_tx += 1;
         uktrace::trace!(self.trace, tp::arp_request_tx, dst.0);
     }
 
@@ -1916,13 +2016,12 @@ impl NetStack {
                         pending.packets.len(),
                     )
                 };
-                self.ustats.arp_parked.inc();
+                self.stats.arp_parked += 1;
                 self.ustats.arp_parked_hiwater.set_max(queued as u64);
                 uktrace::trace!(self.trace, tp::arp_parked, dst.0, queued);
                 if let Some((_, old)) = evicted {
                     self.stats.dropped += 1;
-                    self.ustats.dropped.inc();
-                    self.ustats.arp_evicted.inc();
+                    self.stats.arp_evicted += 1;
                     self.recycle(old);
                 }
                 if request_due {
@@ -1986,11 +2085,6 @@ impl NetStack {
         let offload = self.csum_offload;
         let tso = self.tso;
         let gso_max = self.config.gso_max_size;
-        let mut offloaded = 0u64;
-        let mut supers = 0u64;
-        let mut super_bytes = 0u64;
-        let mut rtx_delta = 0u64;
-        let mut sack_rtx_delta = 0u64;
         let now = self.now_ns();
         // Only dirty connections are polled — at 100 K idle
         // connections the flush touches none of them. The list is
@@ -2018,8 +2112,7 @@ impl NetStack {
             // mid-stream — the cut frames land on exactly the byte
             // boundaries software segmentation would produce.
             let max_seg = if tso { (gso_max / mss).max(1) * mss } else { mss };
-            let rtx0 = c.tcb.retransmits();
-            let sack_rtx0 = c.tcb.sack_rtx();
+            let before = c.tcb.counters();
             // The receiver half's SACK report for this poll: D-SACK
             // plus the reassembly queue's extents, encoded once and
             // attached to the first *pure ACK* the poll emits (the GSO
@@ -2060,20 +2153,20 @@ impl NetStack {
                     // Super-segment: headers on the chain head, MSS
                     // cutting offloaded to the device's host side.
                     header.encode_into_gso(&ip, &mut nb, mss as u16);
-                    offloaded += 1;
-                    supers += 1;
-                    super_bytes += plen as u64;
+                    self.stats.csum_offloaded += 1;
+                    self.stats.tso_super_frames += 1;
+                    self.stats.tso_super_bytes += plen as u64;
                     uktrace::trace!(self.trace, tp::tso_super_tx, plen, mss);
                 } else if !opts.is_empty() {
                     if offload {
                         header.encode_into_partial_opts(&ip, &mut nb, opts);
-                        offloaded += 1;
+                        self.stats.csum_offloaded += 1;
                     } else {
                         header.encode_into_opts(&ip, &mut nb, opts);
                     }
                 } else if offload {
                     header.encode_into_partial(&ip, &mut nb);
-                    offloaded += 1;
+                    self.stats.csum_offloaded += 1;
                 } else {
                     header.encode_into(&ip, &mut nb);
                 }
@@ -2088,30 +2181,14 @@ impl NetStack {
                 }
                 staged.push((dst, nb));
             });
-            let d = c.tcb.retransmits() - rtx0;
-            if d > 0 {
-                rtx_delta += d;
-                uktrace::trace!(self.trace, tp::tcp_retransmit, h, d);
-            }
-            let ds = c.tcb.sack_rtx() - sack_rtx0;
-            if ds > 0 {
-                sack_rtx_delta += ds;
-                uktrace::trace!(self.trace, tp::tcp_sack_rtx, h, ds);
-            }
             self.ustats.tcp_cwnd.set(c.tcb.cwnd() as u64);
             self.ustats
                 .tcp_rack_reorder_window_ns
                 .set(c.tcb.reo_wnd_ns());
+            let after = c.tcb.counters();
+            self.account_tcb(h, 0, before, after);
         }
-        self.ustats.tcp_retransmits.add(rtx_delta);
-        self.ustats.tcp_sack_rtx.add(sack_rtx_delta);
         self.pool = pool.into_inner();
-        self.stats.csum_offloaded += offloaded;
-        self.stats.tso_super_frames += supers;
-        self.stats.tso_super_bytes += super_bytes;
-        self.ustats.csum_offloaded.add(offloaded);
-        self.ustats.tso_super_frames.add(supers);
-        self.ustats.tso_super_bytes.add(super_bytes);
         // Second pass: mirror every polled connection's timer wants
         // (RTO, RACK-TLP, delayed ACK, lifecycle) into the wheel.
         let mut i = 0;
@@ -2153,128 +2230,69 @@ impl NetStack {
         let kind = key >> 48;
         let gen = ((key >> 32) & 0xffff) as u16;
         let slot = (key & 0xffff_ffff) as u32;
-        enum Act {
-            None,
-            Reap(u64),
-        }
-        let mut act = Act::None;
-        {
-            let Some(cs) = self.conn_slots.get_mut(slot as usize) else {
-                return;
-            };
-            if cs.gen != gen {
-                return;
+        let h = conn_handle(slot, gen);
+        let live = self.conn_slots.get_mut(slot as usize).filter(|cs| cs.gen == gen);
+        let Some(c) = live.and_then(|cs| cs.conn.as_mut()) else {
+            return;
+        };
+        let before = c.tcb.counters();
+        let mut reap = None;
+        match kind {
+            TK_RTO => {
+                c.rto_tok = TimerToken::NONE;
+                c.rto_armed_ns = None;
+                c.tcb.on_tick(now);
             }
-            let Some(c) = cs.conn.as_mut() else { return };
-            match kind {
-                TK_RTO => {
-                    c.rto_tok = TimerToken::NONE;
-                    c.rto_armed_ns = None;
-                    if c.tcb.on_tick(now) {
-                        self.ustats.tcp_rto_fires.inc();
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_rto_fire,
-                            conn_handle(slot, gen),
-                            c.tcb.rto_fires()
-                        );
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-                TK_DELACK => {
-                    c.delack_tok = TimerToken::NONE;
-                    c.delack_armed_ns = None;
-                    c.tcb.on_delack_timeout();
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-                TK_RACK => {
-                    c.rack_tok = TimerToken::NONE;
-                    c.rack_armed_ns = None;
-                    let fr0 = c.tcb.fast_retransmits();
-                    let tlp0 = c.tcb.tlp_probes();
-                    c.tcb.on_rack_timeout(now);
-                    let fr = c.tcb.fast_retransmits() - fr0;
-                    if fr > 0 {
-                        self.ustats.tcp_fast_retransmits.add(fr);
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_fast_retransmit,
-                            conn_handle(slot, gen),
-                            fr
-                        );
-                    }
-                    let tlp = c.tcb.tlp_probes() - tlp0;
-                    if tlp > 0 {
-                        self.ustats.tcp_tlp_probes.add(tlp);
-                        uktrace::trace!(
-                            self.trace,
-                            tp::tcp_tlp_probe,
-                            conn_handle(slot, gen),
-                            tlp
-                        );
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                }
-                TK_LIFE => {
-                    c.life_tok = TimerToken::NONE;
-                    match c.life_kind {
-                        LifeKind::Handshake => act = Act::Reap(REAP_HANDSHAKE),
-                        LifeKind::FinWait2 => act = Act::Reap(REAP_FINWAIT2),
-                        LifeKind::TimeWait => act = Act::Reap(REAP_TIMEWAIT),
-                        LifeKind::Reap => {
-                            if c.tcb.readable() == 0 {
-                                act = Act::Reap(REAP_CLOSED);
-                            } else if !c.dirty {
-                                // Application still owes a read; check
-                                // again on the same cadence.
-                                c.dirty = true;
-                                self.dirty.push(slot);
-                            }
-                        }
-                        LifeKind::Keepalive => {
-                            let idle = now.saturating_sub(c.last_activity_ns);
-                            if idle >= KEEPALIVE_IDLE_NS {
-                                if c.ka_probes >= KEEPALIVE_PROBES {
-                                    self.ustats.tcp_keepalive_drops.inc();
-                                    act = Act::Reap(REAP_KEEPALIVE);
-                                } else {
-                                    c.ka_probes += 1;
-                                    c.tcb.emit_keepalive_probe();
-                                    uktrace::trace!(
-                                        self.trace,
-                                        tp::tcp_keepalive_probe,
-                                        conn_handle(slot, gen),
-                                        c.ka_probes as usize
-                                    );
-                                    if !c.dirty {
-                                        c.dirty = true;
-                                        self.dirty.push(slot);
-                                    }
-                                }
-                            } else {
-                                c.ka_probes = 0;
-                                if !c.dirty {
-                                    c.dirty = true;
-                                    self.dirty.push(slot);
-                                }
-                            }
-                        }
-                        LifeKind::None => {}
-                    }
-                }
-                _ => {}
+            TK_DELACK => {
+                c.delack_tok = TimerToken::NONE;
+                c.delack_armed_ns = None;
+                c.tcb.on_delack_timeout();
             }
+            TK_RACK => {
+                c.rack_tok = TimerToken::NONE;
+                c.rack_armed_ns = None;
+                c.tcb.on_rack_timeout(now);
+            }
+            TK_LIFE => {
+                c.life_tok = TimerToken::NONE;
+                let idle = now.saturating_sub(c.last_activity_ns) >= KEEPALIVE_IDLE_NS;
+                reap = match c.life_kind {
+                    LifeKind::Handshake => Some(REAP_HANDSHAKE),
+                    LifeKind::FinWait2 => Some(REAP_FINWAIT2),
+                    LifeKind::TimeWait => Some(REAP_TIMEWAIT),
+                    LifeKind::Reap if c.tcb.readable() == 0 => Some(REAP_CLOSED),
+                    LifeKind::Keepalive if idle && c.ka_probes >= KEEPALIVE_PROBES => {
+                        self.stats.tcp_keepalive_drops += 1;
+                        Some(REAP_KEEPALIVE)
+                    }
+                    LifeKind::Keepalive if idle => {
+                        c.ka_probes += 1;
+                        c.tcb.emit_keepalive_probe();
+                        uktrace::trace!(
+                            self.trace,
+                            tp::tcp_keepalive_probe,
+                            h,
+                            c.ka_probes as usize
+                        );
+                        None
+                    }
+                    LifeKind::Keepalive => {
+                        c.ka_probes = 0;
+                        None
+                    }
+                    // A closed connection whose application still owes
+                    // a read is checked again on the same cadence.
+                    LifeKind::Reap | LifeKind::None => None,
+                };
+            }
+            _ => {}
         }
-        if let Act::Reap(reason) = act {
+        let after = c.tcb.counters();
+        if reap.is_none() {
+            c.mark_dirty(slot, &mut self.dirty);
+        }
+        self.account_tcb(h, 0, before, after);
+        if let Some(reason) = reap {
             self.reap_conn_slot(slot, reason);
         }
     }
@@ -2337,7 +2355,7 @@ impl NetStack {
         };
         if kind != c.life_kind || (kind != LifeKind::None && c.life_tok.is_none()) {
             if kind == LifeKind::TimeWait && c.life_kind != LifeKind::TimeWait {
-                self.ustats.tcp_timewait.inc();
+                self.stats.tcp_timewait += 1;
                 uktrace::trace!(
                     self.trace,
                     tp::tcp_time_wait,
@@ -2399,7 +2417,7 @@ impl NetStack {
             header.encode_into(&ip, &mut nb);
         }
         ip.encode_into(&mut nb);
-        self.ustats.tcp_rst_tx.inc();
+        self.stats.tcp_rst_tx += 1;
         uktrace::trace!(self.trace, tp::tcp_rst_tx, header.dst_port, header.seq);
         self.send_ipv4_nb(dst, IpProto::Tcp, nb);
     }
@@ -2416,7 +2434,7 @@ impl NetStack {
     /// `tx_burst` push, one readiness sync. Per-packet overheads
     /// become per-burst overheads.
     pub fn pump(&mut self) -> usize {
-        let sweep_start = std::time::Instant::now();
+        let sweep_start = ukstats::COMPILED_IN.then(std::time::Instant::now);
         let mut handled = 0;
         let mut frames = std::mem::take(&mut self.rx_scratch);
         self.arp_memo.clear();
@@ -2427,14 +2445,12 @@ impl NetStack {
             };
             if st.received > 0 {
                 self.stats.rx_bursts += 1;
-                self.ustats.rx_bursts.inc();
             }
             for nb in frames.drain(..) {
                 if self.handle_frame(nb).is_ok() {
                     handled += 1;
                 } else {
                     self.stats.dropped += 1;
-                    self.ustats.dropped.inc();
                 }
             }
             if st.received == 0 && !st.more {
@@ -2447,12 +2463,12 @@ impl NetStack {
         self.gro_flush();
         self.arp_retry_tick();
         self.tcp_timer_tick();
+        self.stats.pump_sweeps += 1;
         let _ = self.flush_tcp();
         self.sync_readiness();
-        self.ustats.pump_sweeps.inc();
-        self.ustats
-            .pump_ns
-            .record(sweep_start.elapsed().as_nanos() as u64);
+        if let Some(t) = sweep_start {
+            self.ustats.pump_ns.record(t.elapsed().as_nanos() as u64);
+        }
         if let Some(p) = self.pool.as_ref() {
             self.ustats
                 .pool_inflight_hiwater
@@ -2482,7 +2498,6 @@ impl NetStack {
         });
         while let Some(rest) = frames.pop() {
             self.stats.dropped += 1;
-            self.ustats.dropped.inc();
             self.recycle(rest);
         }
         stats
@@ -2500,7 +2515,6 @@ impl NetStack {
 
     fn handle_frame(&mut self, mut nb: Netbuf) -> Result<()> {
         self.stats.rx_frames += 1;
-        self.ustats.rx_frames.inc();
         let eth = match EthHeader::decode(nb.payload()) {
             Ok((h, _)) => h,
             Err(e) => {
@@ -2515,7 +2529,7 @@ impl NetStack {
         nb.pull_header(ETH_HDR_LEN);
         match eth.ethertype {
             EtherType::Arp => {
-                self.ustats.demux_arp.inc();
+                self.stats.demux_arp += 1;
                 let r = self.handle_arp(nb.payload());
                 self.recycle(nb);
                 r
@@ -2597,7 +2611,6 @@ impl NetStack {
         }
         if trusted && matches!(ip.proto, IpProto::Tcp | IpProto::Udp) {
             self.stats.rx_csum_skipped += 1;
-            self.ustats.rx_csum_skipped.inc();
         }
         nb.pull_header(IPV4_HDR_LEN);
         nb.truncate(body_len);
@@ -2614,7 +2627,7 @@ impl NetStack {
 
     fn handle_icmp(&mut self, ip: &Ipv4Header, data: &[u8]) -> Result<()> {
         let (request, ident, seq, payload) = icmp::decode_echo(data)?;
-        self.ustats.demux_icmp.inc();
+        self.stats.demux_icmp += 1;
         if request {
             uktrace::trace!(self.trace, tp::icmp_echo_rx, ident, seq);
             // Answer pings like lwIP does: echo the payload into a
@@ -2682,7 +2695,7 @@ impl NetStack {
             }
         };
         let Some(&h) = self.udp_ports.get(&udp.dst_port) else {
-            self.ustats.demux_miss.inc();
+            self.stats.demux_miss += 1;
             uktrace::trace!(self.trace, tp::demux_miss, 17u64, udp.dst_port);
             self.recycle(nb);
             return Err(Errno::ConnRefused);
@@ -2701,7 +2714,7 @@ impl NetStack {
         }
         nb.pull_header(UDP_HDR_LEN);
         nb.truncate(body_len);
-        self.ustats.demux_udp.inc();
+        self.stats.demux_udp += 1;
         uktrace::trace!(self.trace, tp::udp_rx, udp.dst_port, body_len);
         let Some(sock) = self.udp_socks.get_mut(&h) else {
             // `queued` above proved the socket exists; drop the
@@ -2763,64 +2776,26 @@ impl NetStack {
         let remote = Endpoint::new(src, tcp.src_port);
         let payload_len = nb.chain_len() - consumed;
         let Some(slot) = self.flow.get(flow_key(tcp.dst_port, remote)) else {
-            self.ustats.demux_miss.inc();
+            self.stats.demux_miss += 1;
             uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
             self.stage_rst(src, &tcp, payload_len);
             self.recycle(nb);
             return Err(Errno::ConnRefused);
         };
-        let now = self.now_ns();
-        let cs = &mut self.conn_slots[slot as usize];
-        let gen = cs.gen;
-        // `_h` and `_bytes` are only read by tracepoints (unused when
-        // tracing is compiled out, hence the underscores).
-        let _h = conn_handle(slot, gen);
-        let Some(c) = cs.conn.as_mut() else {
-            self.ustats.demux_miss.inc();
-            uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
-            self.recycle(nb);
-            return Err(Errno::ConnRefused);
-        };
+        let h = self.slot_handle(slot);
         nb.pull_header(consumed);
+        // Only read by the `tcp_super_rx` tracepoint (unused when
+        // tracing is compiled out, hence the underscore).
         let _bytes = nb.chain_len();
-        c.tcb.set_now(now);
-        c.last_activity_ns = now;
-        c.ka_probes = 0;
-        let dup0 = c.tcb.dup_acks();
-        let fr0 = c.tcb.fast_retransmits();
-        let ooo0 = c.tcb.ooo_queued();
-        let mut pool = self.pool.take();
-        c.tcb.on_segment_bufs(&tcp, std::iter::once(nb), |b| {
-            if let Some(p) = pool.as_mut() {
-                p.give_back_chain(b);
-            }
-        });
-        self.pool = pool;
-        let dup = c.tcb.dup_acks() - dup0;
-        if dup > 0 {
-            self.ustats.dup_acks.add(dup);
-            uktrace::trace!(self.trace, tp::tcp_dup_ack, _h, tcp.seq);
+        if self.ingest(h, &tcp, None, std::iter::once(nb)).is_none() {
+            self.stats.demux_miss += 1;
+            uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
+            return Err(Errno::ConnRefused);
         }
-        let fr = c.tcb.fast_retransmits() - fr0;
-        if fr > 0 {
-            self.ustats.tcp_fast_retransmits.add(fr);
-            uktrace::trace!(self.trace, tp::tcp_fast_retransmit, _h, fr);
-        }
-        let ooo = c.tcb.ooo_queued() - ooo0;
-        if ooo > 0 {
-            self.ustats.tcp_ooo_queued.add(ooo);
-            uktrace::trace!(self.trace, tp::tcp_ooo_queue, _h, ooo);
-        }
-        if !c.dirty {
-            c.dirty = true;
-            self.dirty.push(slot);
-        }
-        self.ustats.demux_tcp.inc();
-        uktrace::trace!(self.trace, tp::tcp_super_rx, _h, _bytes);
+        self.stats.demux_tcp += 1;
+        uktrace::trace!(self.trace, tp::tcp_super_rx, h, _bytes);
         self.stats.rx_super_frames += 1;
         self.stats.rx_csum_skipped += 1;
-        self.ustats.rx_super_frames.inc();
-        self.ustats.rx_csum_skipped.inc();
         Ok(())
     }
 
@@ -2864,7 +2839,7 @@ impl NetStack {
                     cont.next_seq = tcp.seq.wrapping_add(nb.len() as u32);
                     let conn = cont.conn;
                     self.gro_stage.push((conn, tcp, nb));
-                    self.ustats.demux_tcp.inc();
+                    self.stats.demux_tcp += 1;
                     return Ok(());
                 }
                 if flow_match {
@@ -2899,14 +2874,8 @@ impl NetStack {
             }
         }
         if let Some(slot) = hit {
-            let state0 = self
-                .conn_slots
-                .get(slot as usize)
-                .and_then(|cs| cs.conn.as_ref())
-                .map(|c| c.tcb.state);
-            if let Some(state0) = state0 {
-                let gen = self.conn_slots[slot as usize].gen;
-                let h = conn_handle(slot, gen);
+            let h = self.slot_handle(slot);
+            if let Some(state0) = self.conn(h).map(|c| c.tcb.state) {
                 // TCP options (SACK-permitted on SYNs, SACK blocks on
                 // pure ACKs) live between the fixed header and the
                 // payload; capture them before the header is pulled.
@@ -2929,7 +2898,7 @@ impl NetStack {
                         next_seq: tcp.seq.wrapping_add(nb.len() as u32),
                     });
                     self.gro_stage.push((h, tcp, nb));
-                    self.ustats.demux_tcp.inc();
+                    self.stats.demux_tcp += 1;
                     return Ok(());
                 }
                 // Control flags take the direct path — after flushing
@@ -2952,7 +2921,7 @@ impl NetStack {
                         .map(|l| l.backlog.len() >= self.config.listen_backlog)
                         .unwrap_or(false);
                     if full {
-                        self.ustats.tcp_syn_overflow.inc();
+                        self.stats.tcp_syn_overflow += 1;
                         self.recycle(nb);
                         return Err(Errno::NoMem);
                     }
@@ -2961,57 +2930,14 @@ impl NetStack {
                     uktrace::trace!(self.trace, tp::tcp_fin_rx, tcp.dst_port, tcp.seq);
                 }
                 let bytes = nb.len();
-                let now = self.now_ns();
-                let mut pool = self.pool.take();
-                let cs = &mut self.conn_slots[slot as usize];
-                let Some(c) = cs.conn.as_mut() else {
+                let Some(state) = self.ingest(h, &tcp, opts.as_ref(), std::iter::once(nb)) else {
                     // The flow table named this slot, so it must be
-                    // occupied; drop the segment rather than panic if
-                    // the table and slab ever disagree.
+                    // occupied; the segment was dropped rather than
+                    // panic if the table and slab ever disagree.
                     debug_assert!(false, "flow table points at an empty connection slot");
-                    self.pool = pool;
-                    self.recycle(nb);
                     return Err(Errno::BadF);
                 };
-                c.tcb.set_now(now);
-                c.last_activity_ns = now;
-                c.ka_probes = 0;
-                let dup0 = c.tcb.dup_acks();
-                let fr0 = c.tcb.fast_retransmits();
-                let ooo0 = c.tcb.ooo_queued();
-                let sp0 = c.tcb.spurious_rtx();
-                if let Some(ref opts) = opts {
-                    c.tcb.process_options(&tcp, opts);
-                }
-                c.tcb.on_segment_bufs(&tcp, std::iter::once(nb), |b| {
-                    if let Some(p) = pool.as_mut() {
-                        p.give_back_chain(b);
-                    }
-                });
-                let dup = c.tcb.dup_acks() - dup0;
-                let fr = c.tcb.fast_retransmits() - fr0;
-                let ooo = c.tcb.ooo_queued() - ooo0;
-                let sp = c.tcb.spurious_rtx() - sp0;
-                let shed0 = c.tcb.ooo_shed();
-                while pool.as_ref().is_some_and(|p| p.available() < LOW_POOL_BUFS) {
-                    let mut give = |b: Netbuf| {
-                        if let Some(p) = pool.as_mut() {
-                            p.give_back_chain(b);
-                        }
-                    };
-                    if !c.tcb.shed_newest_ooo(&mut give) {
-                        break;
-                    }
-                }
-                let shed = c.tcb.ooo_shed() - shed0;
-                let established =
-                    state0 != TcpState::Established && c.tcb.state == TcpState::Established;
-                if !c.dirty {
-                    c.dirty = true;
-                    self.dirty.push(slot);
-                }
-                self.pool = pool;
-                if established {
+                if state0 != TcpState::Established && state == TcpState::Established {
                     uktrace::trace!(self.trace, tp::tcp_established, h, tcp.dst_port);
                     if state0 == TcpState::SynReceived {
                         // Handshake complete: graduate from the SYN
@@ -3026,30 +2952,10 @@ impl NetStack {
                         }
                     }
                 }
-                if dup > 0 {
-                    self.ustats.dup_acks.add(dup);
-                    uktrace::trace!(self.trace, tp::tcp_dup_ack, h, tcp.seq);
-                }
-                if fr > 0 {
-                    self.ustats.tcp_fast_retransmits.add(fr);
-                    uktrace::trace!(self.trace, tp::tcp_fast_retransmit, h, fr);
-                }
-                if ooo > 0 {
-                    self.ustats.tcp_ooo_queued.add(ooo);
-                    uktrace::trace!(self.trace, tp::tcp_ooo_queue, h, ooo);
-                }
-                if sp > 0 {
-                    self.ustats.tcp_spurious_rtx.add(sp);
-                    uktrace::trace!(self.trace, tp::tcp_spurious_rtx, h, sp);
-                }
-                if shed > 0 {
-                    self.ustats.tcp_ooo_shed.add(shed);
-                    uktrace::trace!(self.trace, tp::tcp_ooo_shed, h, shed);
-                }
                 if bytes > 0 && !tcp.flags.syn {
                     uktrace::trace!(self.trace, tp::tcp_data_rx, h, bytes);
                 }
-                self.ustats.demux_tcp.inc();
+                self.stats.demux_tcp += 1;
                 return Ok(());
             }
         }
@@ -3071,7 +2977,7 @@ impl NetStack {
                     }
                 });
                 if let Some(v) = victim {
-                    self.ustats.tcp_syn_overflow.inc();
+                    self.stats.tcp_syn_overflow += 1;
                     uktrace::trace!(self.trace, tp::tcp_syn_evicted, tcp.dst_port, v as usize);
                     self.reap_conn_slot(v, REAP_SYN_EVICTED);
                 }
@@ -3083,7 +2989,9 @@ impl NetStack {
                 }
                 tcb.on_segment(&tcp, &nb.payload()[doff..]);
                 self.recycle(nb);
+                let counted = tcb.counters();
                 let h = self.alloc_conn(tcb, remote, tcp.dst_port, self.now_ns());
+                self.account_tcb(h, tcp.seq, TcpCounters::default(), counted);
                 let slot = (h & 0xffff_ffff) as u32;
                 if let Some(l) = self.listeners.get_mut(&tcp.dst_port) {
                     l.syn_queue.push_back(slot);
@@ -3093,14 +3001,14 @@ impl NetStack {
                     // simply time out if this invariant ever breaks.
                     debug_assert!(false, "listener vanished while spawning half-open conn");
                 }
-                self.ustats.demux_tcp.inc();
+                self.stats.demux_tcp += 1;
                 return Ok(());
             }
         }
         // Nothing claimed the segment: count the miss and answer with
         // a RST (suppressed for incoming RSTs — including in-window
         // RSTs aimed at a bare listener, which are simply dropped).
-        self.ustats.demux_miss.inc();
+        self.stats.demux_miss += 1;
         uktrace::trace!(self.trace, tp::demux_miss, 6u64, tcp.dst_port);
         self.stage_rst(ip.src, &tcp, payload_len);
         self.recycle(nb);
@@ -3122,8 +3030,6 @@ impl NetStack {
             return;
         }
         let mut stage = std::mem::take(&mut self.gro_stage);
-        let mut pool = self.pool.take();
-        let now = self.now_ns();
         while !stage.is_empty() {
             // The run at the stage front: adjacent entries, same
             // connection, consecutive sequence numbers.
@@ -3141,8 +3047,6 @@ impl NetStack {
             if j > 1 {
                 self.stats.gro_runs += 1;
                 self.stats.gro_merged_frames += j as u64;
-                self.ustats.gro_runs.inc();
-                self.ustats.gro_merged_frames.add(j as u64);
                 uktrace::trace!(self.trace, tp::gro_merge, conn, j);
             }
             let merged = TcpHeader {
@@ -3157,72 +3061,11 @@ impl NetStack {
                 },
                 window: last.window,
             };
-            let target = match conn_parts(conn) {
-                Some((slot, gen)) => match self.conn_slots.get_mut(slot as usize) {
-                    Some(cs) if cs.gen == gen => cs.conn.as_mut().map(|c| (slot, c)),
-                    _ => None,
-                },
-                None => None,
-            };
-            match target {
-                Some((slot, c)) => {
-                    c.tcb.set_now(now);
-                    c.last_activity_ns = now;
-                    c.ka_probes = 0;
-                    let dup0 = c.tcb.dup_acks();
-                    let fr0 = c.tcb.fast_retransmits();
-                    let ooo0 = c.tcb.ooo_queued();
-                    c.tcb
-                        .on_segment_bufs(&merged, stage.drain(..j).map(|(_, _, nb)| nb), |nb| {
-                            if let Some(p) = pool.as_mut() {
-                                p.give_back_chain(nb);
-                            }
-                        });
-                    let dup = c.tcb.dup_acks() - dup0;
-                    if dup > 0 {
-                        self.ustats.dup_acks.add(dup);
-                        uktrace::trace!(self.trace, tp::tcp_dup_ack, conn, merged.seq);
-                    }
-                    let fr = c.tcb.fast_retransmits() - fr0;
-                    if fr > 0 {
-                        self.ustats.tcp_fast_retransmits.add(fr);
-                        uktrace::trace!(self.trace, tp::tcp_fast_retransmit, conn, fr);
-                    }
-                    let ooo = c.tcb.ooo_queued() - ooo0;
-                    if ooo > 0 {
-                        self.ustats.tcp_ooo_queued.add(ooo);
-                        uktrace::trace!(self.trace, tp::tcp_ooo_queue, conn, ooo);
-                    }
-                    let shed0 = c.tcb.ooo_shed();
-                    while pool.as_ref().is_some_and(|p| p.available() < LOW_POOL_BUFS) {
-                        let mut give = |b: Netbuf| {
-                            if let Some(p) = pool.as_mut() {
-                                p.give_back_chain(b);
-                            }
-                        };
-                        if !c.tcb.shed_newest_ooo(&mut give) {
-                            break;
-                        }
-                    }
-                    let shed = c.tcb.ooo_shed() - shed0;
-                    if shed > 0 {
-                        self.ustats.tcp_ooo_shed.add(shed);
-                        uktrace::trace!(self.trace, tp::tcp_ooo_shed, conn, shed);
-                    }
-                    if !c.dirty {
-                        c.dirty = true;
-                        self.dirty.push(slot);
-                    }
-                    uktrace::trace!(self.trace, tp::tcp_data_rx, conn, _run_bytes);
-                }
-                None => stage.drain(..j).for_each(|(_, _, nb)| {
-                    if let Some(p) = pool.as_mut() {
-                        p.give_back_chain(nb);
-                    }
-                }),
+            let bufs = stage.drain(..j).map(|(_, _, nb)| nb);
+            if self.ingest(conn, &merged, None, bufs).is_some() {
+                uktrace::trace!(self.trace, tp::tcp_data_rx, conn, _run_bytes);
             }
         }
-        self.pool = pool;
         self.gro_stage = stage;
     }
 }

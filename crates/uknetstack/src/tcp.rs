@@ -528,6 +528,48 @@ pub struct OutSegment {
     pub payload: Vec<u8>,
 }
 
+/// A connection's cumulative event counts (the stack folds each
+/// TCB call's growth into its `netstack.*` counters).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct TcpCounters {
+    /// Retransmission-timeout fires.
+    pub rto_fires: u64,
+    /// Segments re-emitted: data plus SYN/SYN-ACK/FIN.
+    pub retransmits: u64,
+    /// RACK reordering windows that expired with the hole still open.
+    pub fast_retransmits: u64,
+    /// Extents filed into the reassembly queue.
+    pub ooo_queued: u64,
+    /// Scoreboard-driven retransmissions of holes beyond the first.
+    pub sack_rtx: u64,
+    /// Spurious retransmissions the peer reported via D-SACK.
+    pub spurious_rtx: u64,
+    /// Tail-loss probes fired.
+    pub tlp_probes: u64,
+    /// Reassembly-queue extents shed under pool pressure.
+    pub ooo_shed: u64,
+    /// Immediate duplicate ACKs forced by dropped (old, out-of-order
+    /// or out-of-window) ingest data.
+    pub dup_acks: u64,
+}
+
+impl TcpCounters {
+    /// Field-wise growth since the `before` snapshot.
+    pub fn since(&self, before: &TcpCounters) -> TcpCounters {
+        TcpCounters {
+            rto_fires: self.rto_fires - before.rto_fires,
+            retransmits: self.retransmits - before.retransmits,
+            fast_retransmits: self.fast_retransmits - before.fast_retransmits,
+            ooo_queued: self.ooo_queued - before.ooo_queued,
+            sack_rtx: self.sack_rtx - before.sack_rtx,
+            spurious_rtx: self.spurious_rtx - before.spurious_rtx,
+            tlp_probes: self.tlp_probes - before.tlp_probes,
+            ooo_shed: self.ooo_shed - before.ooo_shed,
+            dup_acks: self.dup_acks - before.dup_acks,
+        }
+    }
+}
+
 /// A transmission control block.
 #[derive(Debug)]
 pub struct Tcb {
@@ -571,10 +613,6 @@ pub struct Tcb {
     /// edge-triggered watchers re-trigger on new arrivals even while
     /// data is already pending).
     rx_total: u64,
-    /// Immediate duplicate ACKs forced by dropped (old / out-of-order /
-    /// out-of-window) ingest data — the loss signal observability
-    /// exports per connection.
-    dup_acks: u64,
     /// Control segments (no payload) ready to be emitted on the wire.
     /// Data segments are never queued here: their buffers move out of
     /// `send_q` at `poll_output_chain_with` time.
@@ -654,14 +692,6 @@ pub struct Tcb {
     ooo_q: VecDeque<(u32, Netbuf)>,
     /// Payload bytes across `ooo_q`.
     ooo_bytes: usize,
-    /// Cumulative RTO fires (observability).
-    stat_rto_fires: u64,
-    /// Cumulative data retransmissions emitted (observability).
-    stat_retransmits: u64,
-    /// Cumulative fast-retransmit triggers (observability).
-    stat_fast_retransmits: u64,
-    /// Cumulative extents queued out of order (observability).
-    stat_ooo_queued: u64,
     /// Whether pure ACKs are held for the delayed-ACK timer instead of
     /// being emitted at poll time (`StackConfig::delayed_ack`).
     delack_enabled: bool,
@@ -695,15 +725,8 @@ pub struct Tcb {
     /// A probe was already spent on this tail (one per episode; reset
     /// when `snd_una` advances).
     tlp_consumed: bool,
-    /// Cumulative scoreboard-driven hole retransmissions beyond the
-    /// first hole (observability).
-    stat_sack_rtx: u64,
-    /// Cumulative spurious retransmissions detected via D-SACK.
-    stat_spurious_rtx: u64,
-    /// Cumulative tail-loss probes fired.
-    stat_tlp_probes: u64,
-    /// Cumulative out-of-order extents shed under pool pressure.
-    stat_ooo_shed: u64,
+    /// Cumulative event counts (observability).
+    counters: TcpCounters,
 }
 
 impl Tcb {
@@ -745,7 +768,6 @@ impl Tcb {
             recv_q_len: 0,
             flatten_scratch: Vec::new(),
             rx_total: 0,
-            dup_acks: 0,
             out: VecDeque::new(),
             ack_pending: false,
             mss: MSS,
@@ -775,10 +797,6 @@ impl Tcb {
             dup_ack_now: false,
             ooo_q: VecDeque::with_capacity(OOO_QUEUE_BUFS),
             ooo_bytes: 0,
-            stat_rto_fires: 0,
-            stat_retransmits: 0,
-            stat_fast_retransmits: 0,
-            stat_ooo_queued: 0,
             delack_enabled: false,
             ack_deadline_ns: None,
             delack_segs: 0,
@@ -790,10 +808,7 @@ impl Tcb {
             tlp_deadline_ns: None,
             tlp_pending: false,
             tlp_consumed: false,
-            stat_sack_rtx: 0,
-            stat_spurious_rtx: 0,
-            stat_tlp_probes: 0,
-            stat_ooo_shed: 0,
+            counters: TcpCounters::default(),
         }
     }
 
@@ -883,7 +898,7 @@ impl Tcb {
                 && !self.in_recovery
                 && (self.dup_ack_rx > 0 || !self.sacked.is_empty())
             {
-                self.stat_fast_retransmits += 1;
+                self.counters.fast_retransmits += 1;
                 self.rtx_request = true;
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
@@ -899,7 +914,7 @@ impl Tcb {
             if self.snd_una != self.snd_nxt && !self.in_recovery && !self.tlp_consumed {
                 self.tlp_pending = true;
                 self.tlp_consumed = true;
-                self.stat_tlp_probes += 1;
+                self.counters.tlp_probes += 1;
             }
         }
     }
@@ -914,7 +929,7 @@ impl Tcb {
             return false;
         };
         self.ooo_bytes -= nb.len();
-        self.stat_ooo_shed += 1;
+        self.counters.ooo_shed += 1;
         recycle(nb);
         true
     }
@@ -983,48 +998,9 @@ impl Tcb {
         });
     }
 
-    /// Cumulative retransmission-timeout fires.
-    pub fn rto_fires(&self) -> u64 {
-        self.stat_rto_fires
-    }
-
-    /// Cumulative retransmitted segments (data re-emissions plus
-    /// SYN/SYN-ACK/FIN re-emissions).
-    pub fn retransmits(&self) -> u64 {
-        self.stat_retransmits
-    }
-
-    /// Cumulative fast-retransmit triggers (an expired RACK reordering
-    /// window with the hole still open).
-    pub fn fast_retransmits(&self) -> u64 {
-        self.stat_fast_retransmits
-    }
-
-    /// Cumulative extents filed into the reassembly queue.
-    pub fn ooo_queued(&self) -> u64 {
-        self.stat_ooo_queued
-    }
-
-    /// Cumulative scoreboard-driven retransmissions of holes beyond
-    /// the first (the surgical part of SACK recovery).
-    pub fn sack_rtx(&self) -> u64 {
-        self.stat_sack_rtx
-    }
-
-    /// Cumulative spurious retransmissions the peer reported via
-    /// D-SACK.
-    pub fn spurious_rtx(&self) -> u64 {
-        self.stat_spurious_rtx
-    }
-
-    /// Cumulative tail-loss probes fired.
-    pub fn tlp_probes(&self) -> u64 {
-        self.stat_tlp_probes
-    }
-
-    /// Cumulative reassembly-queue extents shed under pool pressure.
-    pub fn ooo_shed(&self) -> u64 {
-        self.stat_ooo_shed
+    /// The connection's cumulative event counts.
+    pub fn counters(&self) -> TcpCounters {
+        self.counters
     }
 
     /// The segment size software segmentation cuts to.
@@ -1098,7 +1074,7 @@ impl Tcb {
                 // retransmission was spurious. Karn already voided the
                 // RTT sample; the backoff the false loss inflicted is
                 // undone here.
-                self.stat_spurious_rtx += 1;
+                self.counters.spurious_rtx += 1;
                 if self.backoff > 0 {
                     self.backoff = 0;
                     self.rto_ns = self.computed_rto();
@@ -1378,17 +1354,17 @@ impl Tcb {
     }
 
     /// Advances the TCB's clock and fires the retransmission/persist
-    /// timer if its deadline passed. Returns whether the timer fired
-    /// (the stack counts fires and polls output afterwards).
-    pub fn on_tick(&mut self, now_ns: u64) -> bool {
+    /// timer if its deadline passed (counted in
+    /// [`TcpCounters::rto_fires`]).
+    pub fn on_tick(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
         let Some(deadline) = self.rtx_deadline_ns else {
-            return false;
+            return;
         };
         if now_ns < deadline {
-            return false;
+            return;
         }
-        self.stat_rto_fires += 1;
+        self.counters.rto_fires += 1;
         self.backoff = self.backoff.saturating_add(1);
         self.rto_ns = (self.rto_ns * 2).min(RTO_MAX_NS);
         self.rtt_probe = None; // Karn: samples over retransmits lie.
@@ -1458,7 +1434,6 @@ impl Tcb {
             }
         }
         self.rtx_deadline_ns = Some(now_ns.saturating_add(self.rto_ns));
-        true
     }
 
     /// Queues a control segment at an explicit (re)transmission
@@ -1466,7 +1441,7 @@ impl Tcb {
     fn emit_at(&mut self, seq: u32, flags: TcpFlags) {
         let window = self.rcv_window();
         self.last_adv_wnd = window;
-        self.stat_retransmits += 1;
+        self.counters.retransmits += 1;
         self.out.push_back(TcpHeader {
             src_port: self.local_port,
             dst_port: self.remote_port,
@@ -1743,7 +1718,7 @@ impl Tcb {
             // one dup-ACK, not N (`ack_pending` still guarantees the
             // cumulative position goes out).
             self.ack_pending = true;
-            self.dup_acks += 1;
+            self.counters.dup_acks += 1;
             self.dup_ack_now = true;
         }
         seq
@@ -1821,7 +1796,7 @@ impl Tcb {
             }
         }
         self.ooo_bytes += nb.len();
-        self.stat_ooo_queued += 1;
+        self.counters.ooo_queued += 1;
         // RFC 2018 §4: the first SACK block must report the block
         // containing the most recently received extent.
         self.sack_recent = Some(seq);
@@ -2141,11 +2116,6 @@ impl Tcb {
     /// Monotonic count of bytes ever received (readiness progress).
     pub fn rx_total(&self) -> u64 {
         self.rx_total
-    }
-
-    /// Immediate duplicate ACKs forced by dropped ingest data.
-    pub fn dup_acks(&self) -> u64 {
-        self.dup_acks
     }
 
     /// Whether the peer has closed and all data was read.
@@ -2584,7 +2554,7 @@ impl Tcb {
                 // A hole beyond the first: the retransmission classic
                 // go-back-N recovery would only reach a round trip
                 // later (or re-send everything in between).
-                self.stat_sack_rtx += 1;
+                self.counters.sack_rtx += 1;
             }
             budget = budget.saturating_sub(len);
             self.emit_rtx(start, nb, emit);
@@ -2614,7 +2584,7 @@ impl Tcb {
             },
             window,
         };
-        self.stat_retransmits += 1;
+        self.counters.retransmits += 1;
         self.rtt_probe = None; // Karn.
         emit(header, Some(nb));
     }
@@ -2849,7 +2819,7 @@ mod tests {
         // declares the loss and the front extent goes out again.
         let deadline = client.rack_deadline().expect("dup ACKs armed RACK");
         client.on_rack_timeout(deadline);
-        assert_eq!(client.fast_retransmits(), 1);
+        assert_eq!(client.counters().fast_retransmits, 1);
         let rtx = client.poll_output();
         assert_eq!(rtx.len(), 1, "exactly the front extent is retransmitted");
         assert_eq!(rtx[0].header.seq, lost);
@@ -2860,7 +2830,7 @@ mod tests {
         assert_eq!(server.app_recv(usize::MAX), data, "byte-identical");
         assert_eq!(client.bytes_in_flight(), 0, "everything acknowledged");
         assert!(client.sacked_ranges().is_empty());
-        assert_eq!(client.sack_rtx(), 0, "no hole-walk without a scoreboard");
+        assert_eq!(client.counters().sack_rtx, 0, "no hole-walk without a scoreboard");
     }
 
     #[test]

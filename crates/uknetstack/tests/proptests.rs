@@ -1079,7 +1079,7 @@ proptest! {
                 "scoreboard == bitmap maximal runs (cum={}, op={:?})",
                 cum, (delta, blocks)
             );
-            prop_assert_eq!(client.spurious_rtx(), expect_spurious, "D-SACK classification");
+            prop_assert_eq!(client.counters().spurious_rtx, expect_spurious, "D-SACK classification");
         }
     }
 }

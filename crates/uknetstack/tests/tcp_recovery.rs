@@ -12,6 +12,7 @@ use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::VirtioNet;
 use uknetstack::stack::{NetStack, SocketHandle, StackConfig};
+use uknetstack::tcp::TcpCounters;
 use uknetstack::testnet::Network;
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
@@ -130,13 +131,19 @@ fn bulk_1mb_completes_under_drop_every_7() {
     assert_eq!(got.len(), blob.len(), "every byte recovered");
     assert_eq!(got, blob, "stream byte-identical under 1/7 loss");
     assert!(net.faults_injected() > 50, "the wire really dropped");
-    let (rto, rtx, fast, ooo) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters {
+        rto_fires: rto,
+        retransmits: rtx,
+        fast_retransmits: fast,
+        ooo_queued: ooo,
+        ..
+    } = net.stack(0).tcp_counters(client);
     assert!(rtx > 0, "losses were repaired by retransmission");
     assert!(
         fast > 0 || rto > 0,
         "recovery engaged (fast={fast}, rto={rto})"
     );
-    let (_, _, _, srv_ooo) = net.stack(1).tcp_loss_stats(conn);
+    let TcpCounters { ooo_queued: srv_ooo, .. } = net.stack(1).tcp_counters(conn);
     assert!(
         srv_ooo > 0 || ooo > 0,
         "segments behind the holes were reassembled, not discarded"
@@ -175,7 +182,7 @@ fn drop_bursts_force_rto_and_still_deliver_exactly() {
         );
     }
     assert!(net.faults_injected() > 20, "bursts really hit");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters { retransmits: rtx, .. } = net.stack(0).tcp_counters(client);
     assert!(rtx > 0, "burst holes were retransmitted");
     net.set_drop_burst(0, 0);
     net.run_until_quiet(64);
@@ -206,7 +213,7 @@ fn dropped_fin_is_retransmitted_until_the_close_completes() {
         net.stack(1).tcp_peer_closed(conn),
         "the retransmitted FIN completed the close"
     );
-    let (rto, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters { rto_fires: rto, retransmits: rtx, .. } = net.stack(0).tcp_counters(client);
     assert!(rto >= 1, "the RTO timer fired for the lost FIN");
     assert!(rtx >= 1, "the FIN was re-emitted");
 }
@@ -228,7 +235,7 @@ fn rto_backoff_doubling_is_observable_via_stats() {
     let mut seen = 0;
     for step in 0..160 {
         net.step();
-        let (rto, _, _, _) = net.stack(0).tcp_loss_stats(client);
+        let TcpCounters { rto_fires: rto, .. } = net.stack(0).tcp_counters(client);
         if rto > seen {
             seen = rto;
             fire_steps.push(step as i64);
@@ -304,7 +311,7 @@ fn gro_staging_flushes_on_sequence_gaps_under_loss() {
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got.len(), blob.len(), "every byte recovered with GRO on");
     assert_eq!(got, blob, "no merge across a sequence hole");
-    let (_, _, _, ooo) = net.stack(1).tcp_loss_stats(conn);
+    let TcpCounters { ooo_queued: ooo, .. } = net.stack(1).tcp_counters(conn);
     assert!(ooo > 0, "gapped segments were queued out of order");
     assert!(net.stack(1).stats().gro_runs > 0, "GRO still engaged");
     net.set_drop_every(0);
@@ -343,7 +350,7 @@ fn loss_recovery_works_with_congestion_control_off() {
     let blob = patterned(300_000, 29);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "byte-identical with the ablation off");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters { retransmits: rtx, .. } = net.stack(0).tcp_counters(client);
     assert!(rtx > 0, "recovery still ran");
     net.set_drop_every(0);
     net.run_until_quiet(64);
@@ -374,7 +381,7 @@ fn tso_super_segments_survive_loss_via_host_cut_retransmission() {
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream byte-identical: chained rtx extents work");
     assert!(net.stack(0).stats().tso_super_frames > 0, "sender used TSO");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters { retransmits: rtx, .. } = net.stack(0).tcp_counters(client);
     assert!(rtx > 0, "cut-frame losses were retransmitted");
     net.set_drop_every(0);
     net.run_until_quiet(64);
@@ -398,8 +405,7 @@ fn sack_scoreboard_retransmits_only_the_holes() {
     let blob = patterned(300_000, 23);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "byte-identical");
-    let (sack_rtx, _, _, _) = net.stack(0).tcp_recovery_stats(client);
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters { sack_rtx, retransmits: rtx, .. } = net.stack(0).tcp_counters(client);
     assert!(rtx > 0, "losses were repaired");
     assert!(
         sack_rtx > 0,
@@ -427,7 +433,8 @@ fn rack_reordering_window_suppresses_false_fast_retransmits() {
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "byte-identical through reorder noise");
     assert!(net.faults_injected() > 0, "the wire really perturbed");
-    let (_, rtx, fast, _) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters { retransmits: rtx, fast_retransmits: fast, .. } =
+        net.stack(0).tcp_counters(client);
     assert_eq!(fast, 0, "no false fast retransmit on a lossless reordering wire");
     assert_eq!(rtx, 0, "no spurious data retransmission at all");
     net.set_dup_every(0);
@@ -487,8 +494,7 @@ fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
         }
     }
     assert_eq!(&got[..], b"the tail of the flight", "the tail arrived");
-    let (rto, _, _, _) = net.stack(0).tcp_loss_stats(client);
-    let (_, _, tlp, _) = net.stack(0).tcp_recovery_stats(client);
+    let TcpCounters { rto_fires: rto, tlp_probes: tlp, .. } = net.stack(0).tcp_counters(client);
     assert_eq!(rto, 0, "rescued before the RTO (30 steps ≪ 200 ms floor × backoff)");
     assert!(tlp >= 1, "the probe fired");
     net.run_until_quiet(64);
@@ -523,7 +529,7 @@ fn sustained_loss_cannot_exhaust_a_small_receiver_pool() {
     let blob = patterned(300_000, 47);
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "stream complete despite shedding");
-    let (_, _, _, shed) = net.stack(1).tcp_recovery_stats(conn);
+    let TcpCounters { ooo_shed: shed, .. } = net.stack(1).tcp_counters(conn);
     assert!(shed > 0, "pool pressure shed out-of-order extents");
     net.set_drop_burst(0, 0);
     net.run_until_quiet(64);
@@ -546,7 +552,7 @@ fn corrupted_frames_are_dropped_by_checksum_and_recovered() {
     let got = bulk_send(&mut net, client, conn, &blob, 20_000);
     assert_eq!(got, blob, "corruption never reaches the stream");
     assert!(net.faults_injected() > 50, "the wire really corrupted");
-    let (_, rtx, _, _) = net.stack(0).tcp_loss_stats(client);
+    let TcpCounters { retransmits: rtx, .. } = net.stack(0).tcp_counters(client);
     assert!(rtx > 0, "checksum drops were recovered as losses");
     net.set_corrupt_every(0);
     net.set_dup_every(0);

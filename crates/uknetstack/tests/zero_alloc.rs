@@ -16,7 +16,7 @@ use ukalloc::stats::{AllocCounter, CountingAlloc};
 use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::VirtioNet;
-use uknetstack::stack::{NetStack, StackConfig};
+use uknetstack::stack::{NetStack, StackConfig, StackStats};
 use uknetstack::testnet::Network;
 use uknetstack::{Endpoint, Ipv4Addr};
 use ukplat::time::Tsc;
@@ -557,4 +557,123 @@ fn buffers_circulate_without_draining_the_pools() {
         Some(si_avail),
         "every RX buffer returned to the server pool"
     );
+}
+
+/// One source of truth for every counter: the registry's `netstack.*`
+/// counters are fed only from the stacks' own [`StackStats`], so over
+/// a UDP demux miss, a UDP and a TCP echo (checksums offloaded) and a
+/// lossy TSO-to-GRO bulk transfer, each registry delta equals the sum
+/// of both stacks' `stats()` deltas. Serialized with the allocation
+/// guards because the registry is process-global.
+#[test]
+fn registry_counters_are_the_sum_of_stack_stats() {
+    if !ukstats::COMPILED_IN {
+        return;
+    }
+    let _guard = serial();
+    let mut net = Network::new();
+    let ci = net.attach(mk_stack(1));
+    let tsc = Tsc::new(3_600_000_000);
+    let mut dev = VirtioNet::new(VhostKind::VhostUser, &tsc);
+    dev.configure(NetDevConf::default()).unwrap();
+    let mut cfg = StackConfig::node(2);
+    cfg.guest_tso = false; // The client's supers are cut, then GRO-merged.
+    let si = net.attach(NetStack::new(cfg, Box::new(dev)));
+    let clock = Tsc::new(1_000_000_000);
+    net.set_clock(&clock);
+    net.set_step_ns(5_000_000);
+    let base = ukstats::snapshot();
+    let stats0 = [net.stack(ci).stats(), net.stack(si).stats()];
+    let mut buf = vec![0u8; 64 * 1024];
+
+    // UDP: a datagram to an unbound port, then an echo.
+    let client_sock = net.stack(ci).udp_bind(5000).unwrap();
+    let server_ep = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 9);
+    net.stack(ci)
+        .udp_send_to(client_sock, b"miss", server_ep)
+        .unwrap();
+    net.run_until_quiet(16);
+    let server_sock = net.stack(si).udp_bind(9).unwrap();
+    net.stack(ci)
+        .udp_send_to(client_sock, b"echo", server_ep)
+        .unwrap();
+    net.run_until_quiet(16);
+    let (from, n) = net.stack(si).udp_recv_into(server_sock, &mut buf).unwrap();
+    net.stack(si)
+        .udp_send_to(server_sock, &buf[..n], from)
+        .unwrap();
+    net.run_until_quiet(16);
+    assert_eq!(
+        net.stack(ci)
+            .udp_recv_into(client_sock, &mut buf)
+            .unwrap()
+            .1,
+        n
+    );
+
+    // TCP: an echo, then a bulk transfer over a lossy wire.
+    let listener = net.stack(si).tcp_listen(7).unwrap();
+    let client = net
+        .stack(ci)
+        .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 7))
+        .unwrap();
+    net.run_until_quiet(32);
+    let server = net.stack(si).tcp_accept(listener).unwrap();
+    net.stack(ci).tcp_send(client, b"hello").unwrap();
+    net.run_until_quiet(32);
+    let n = net.stack(si).tcp_recv_into(server, &mut buf).unwrap();
+    net.stack(si).tcp_send(server, &buf[..n]).unwrap();
+    net.run_until_quiet(32);
+    assert_eq!(net.stack(ci).tcp_recv_into(client, &mut buf).unwrap(), n);
+    net.set_drop_every(13);
+    const TOTAL: usize = 256 * 1024;
+    let chunk = [0x3cu8; 32 * 1024];
+    let (mut sent, mut got) = (0, 0);
+    for _ in 0..20_000 {
+        if got == TOTAL {
+            break;
+        }
+        if sent < TOTAL {
+            let want = chunk.len().min(TOTAL - sent);
+            sent += net
+                .stack(ci)
+                .tcp_send_queued(client, &chunk[..want])
+                .unwrap_or(0);
+            net.stack(ci).flush_output().unwrap();
+        }
+        net.step();
+        got += net.stack(si).tcp_recv_into(server, &mut buf).unwrap();
+    }
+    assert_eq!(got, TOTAL, "the lossy transfer completed");
+    net.set_drop_every(0);
+    net.run_until_quiet(64);
+
+    let snap = ukstats::snapshot();
+    let moved = snap.counters_since(&base);
+    let registry = |name: &str| moved.iter().find(|c| c.name == name).map_or(0, |c| c.value);
+    let stats1 = [net.stack(ci).stats(), net.stack(si).stats()];
+    for (i, name) in StackStats::NAMES.iter().enumerate() {
+        let summed: u64 = (0..2)
+            .map(|s| stats1[s].values()[i] - stats0[s].values()[i])
+            .sum();
+        assert_eq!(registry(name), summed, "{name}: registry vs sum of stats()");
+    }
+    // Every `netstack.*` counter the registry moved is a StackStats field.
+    for c in moved.iter().filter(|c| c.name.starts_with("netstack.")) {
+        assert!(
+            StackStats::NAMES.contains(&c.name),
+            "{} has no StackStats field",
+            c.name
+        );
+    }
+    for name in [
+        "netstack.csum_offloaded",
+        "netstack.demux_miss",
+        "netstack.demux_udp",
+        "netstack.gro_runs",
+        "netstack.tso_super_frames",
+        "netstack.tcp.retransmits",
+    ] {
+        assert!(registry(name) > 0, "{name} was exercised");
+    }
 }

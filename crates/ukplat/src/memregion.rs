@@ -5,10 +5,8 @@
 //! table: kernel image, initrd, usable heap, MMIO holes. `ukboot` consumes
 //! this table to place the heap and the page tables.
 
-use serde::Serialize;
-
 /// What a region of guest-physical memory is used for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionKind {
     /// The loaded unikernel image (text + data + bss).
     KernelImage,
@@ -25,7 +23,7 @@ pub enum RegionKind {
 }
 
 /// One contiguous region of guest-physical memory.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MemRegion {
     /// First byte of the region (guest-physical).
     pub base: u64,
@@ -48,7 +46,7 @@ impl MemRegion {
 }
 
 /// The full memory map of a guest.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemRegionTable {
     regions: Vec<MemRegion>,
 }

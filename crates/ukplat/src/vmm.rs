@@ -6,10 +6,8 @@
 //! Firecracker ≈ 3 ms). The guest portion is *real code* in `ukboot`; the
 //! VMM portion is the calibrated model in this module.
 
-use serde::Serialize;
-
 /// The VMMs/platforms evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmmKind {
     /// Stock QEMU with the `pc` machine model.
     Qemu,
@@ -54,7 +52,7 @@ impl VmmKind {
 
 /// A VMM model: process start + machine setup costs, per-device attach
 /// costs, and para-virtual transport properties.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Vmm {
     kind: VmmKind,
     /// Time to start the VMM process and create the VM, ns.
