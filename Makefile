@@ -124,13 +124,16 @@ bench-smoke:
 ## counters, gated: ≥ 32% of lossless at 1/8 drop, reorder-only cells
 ## see zero false fast-retransmits and zero retransmits, the
 ## burst-drop cell drives SACK hole retransmissions, the lossless cell
-## stays 0.000 allocs/frame) — and writes them to
-## BENCH_PR9.json. Since PR 6 each cell also embeds the ukstats
-## counter deltas measured inside its timed window and the document
-## ends with a full registry snapshot; the human tables are suppressed
-## (leveled logging drops to Warn in --json mode).
+## stays 0.000 allocs/frame) — and writes them to BENCH_PR$(PR).json,
+## so each change records its own file: `make bench-json PR=<N>`
+## writes BENCH_PR<N>.json, and the target fails when PR is unset.
+## Since PR 6 each cell also embeds the ukstats counter deltas
+## measured inside its timed window and the document ends with a full
+## registry snapshot; the human tables are suppressed (leveled logging
+## drops to Warn in --json mode).
 bench-json:
-	$(CARGO) bench -p ukbench --bench netpath -- --test --json $(CURDIR)/BENCH_PR9.json
+	@test -n "$(PR)" || { echo "bench-json: set PR to the change's number: make bench-json PR=<N>" >&2; exit 1; }
+	$(CARGO) bench -p ukbench --bench netpath -- --test --json $(CURDIR)/BENCH_PR$(PR).json
 
 examples:
 	$(CARGO) build --release --examples

@@ -84,6 +84,10 @@ pub struct Httpd {
     /// from application memory to super-segment without intermediate
     /// copies.
     blob_src: Vec<u8>,
+    /// Reusable event buffer: one turn's ready events, then the
+    /// connections resumed behind a drained blob — so a turn of the
+    /// event loop allocates nothing for its own bookkeeping.
+    events: Vec<Event>,
 }
 
 impl std::fmt::Debug for Httpd {
@@ -117,6 +121,7 @@ impl Httpd {
             errors: 0,
             rx_bufs: Vec::new(),
             blob_src: Vec::new(),
+            events: Vec::new(),
         })
     }
 
@@ -162,8 +167,9 @@ impl Httpd {
     /// queue between turns (see the scheduler integration tests).
     pub fn poll(&mut self, stack: &mut NetStack) -> u64 {
         let before = self.served;
-        let events = self.queue.poll_ready(64);
-        for ev in events {
+        let mut events = std::mem::take(&mut self.events);
+        self.queue.poll_ready_into(&mut events, 64);
+        for &ev in &events {
             if ev.token == self.listener.0 as u64 {
                 self.accept_ready(stack);
             } else {
@@ -172,23 +178,22 @@ impl Httpd {
         }
         // Requests that queued up behind a streaming blob response
         // become serviceable the turn the blob drains.
-        let resume: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.blob.is_none() && !c.closing && find_header_end(&c.buf).is_some()
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for token in resume {
-            self.drive_conn(
-                stack,
-                Event {
+        events.clear();
+        events.extend(
+            self.conns
+                .iter()
+                .filter(|(_, c)| {
+                    c.blob.is_none() && !c.closing && find_header_end(&c.buf).is_some()
+                })
+                .map(|(&token, _)| Event {
                     token,
                     events: EventMask::IN,
-                },
-            );
+                }),
+        );
+        for &ev in &events {
+            self.drive_conn(stack, ev);
         }
+        self.events = events;
         let _ = stack.flush_output();
         self.reap_closed(stack);
         self.served - before
@@ -369,17 +374,15 @@ impl Httpd {
 
     /// Closes and deregisters connections whose work is done.
     fn reap_closed(&mut self, stack: &mut NetStack) {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.closing && c.out.is_empty() && c.blob.is_none())
-            .map(|(t, _)| *t)
-            .collect();
-        for token in done {
-            let conn = self.conns.remove(&token).expect("token listed");
-            let _ = stack.tcp_close(conn.sock);
-            let _ = self.queue.ctl_del(token);
-        }
+        let queue = &mut self.queue;
+        self.conns.retain(|&token, c| {
+            let done = c.closing && c.out.is_empty() && c.blob.is_none();
+            if done {
+                let _ = stack.tcp_close(c.sock);
+                let _ = queue.ctl_del(token);
+            }
+            !done
+        });
     }
 }
 

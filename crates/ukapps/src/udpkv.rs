@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use ukevent::{EventMask, EventQueue};
+use ukevent::{Event, EventMask, EventQueue};
 use uknetstack::stack::{NetStack, SocketHandle};
 use uknetstack::Endpoint;
 use ukplat::cost;
@@ -220,6 +220,8 @@ pub struct UdpKvNetServer {
     /// the pooled netbuf its datagram arrived in (reused, recycled
     /// after every batch).
     rx_nbs: Vec<(Endpoint, uknetdev::netbuf::Netbuf)>,
+    /// Reusable buffer for one turn's ready events.
+    events: Vec<Event>,
 }
 
 impl std::fmt::Debug for UdpKvNetServer {
@@ -242,6 +244,7 @@ impl UdpKvNetServer {
             queue,
             server: UdpKvServer::new(mode, tsc),
             rx_nbs: Vec::with_capacity(BATCH),
+            events: Vec::new(),
         })
     }
 
@@ -252,7 +255,9 @@ impl UdpKvNetServer {
     /// and recycles the request buffers. Returns requests served.
     pub fn poll(&mut self, stack: &mut NetStack) -> u64 {
         let mut served = 0;
-        for ev in self.queue.poll_ready(16) {
+        let mut events = std::mem::take(&mut self.events);
+        self.queue.poll_ready_into(&mut events, 16);
+        for ev in &events {
             if !ev.events.intersects(EventMask::IN) {
                 continue;
             }
@@ -284,6 +289,7 @@ impl UdpKvNetServer {
                 }
             }
         }
+        self.events = events;
         served
     }
 

@@ -122,6 +122,34 @@ struct Interest {
     disarmed: bool,
 }
 
+impl Interest {
+    /// The event this entry delivers now, if any, consuming an edge
+    /// (`EPOLLET`) or disarming the entry (`EPOLLONESHOT`) as it does.
+    fn take_ready(&mut self, token: u64) -> Option<Event> {
+        if self.disarmed {
+            return None;
+        }
+        let fired = self.source.current() & (self.mask.payload() | EventMask::ALWAYS);
+        if fired.is_empty() {
+            return None;
+        }
+        if self.mask.contains(EventMask::ET) {
+            let seq = self.source.edge_seq();
+            if seq <= self.last_seq {
+                return None; // Edge already consumed.
+            }
+            self.last_seq = seq;
+        }
+        if self.mask.contains(EventMask::ONESHOT) {
+            self.disarmed = true;
+        }
+        Some(Event {
+            token,
+            events: fired,
+        })
+    }
+}
+
 /// An epoll instance: interest list, ready scan, parking wait.
 pub struct EventQueue {
     shared: Rc<RefCell<QueueShared>>,
@@ -250,56 +278,51 @@ impl EventQueue {
     }
 
     /// Scans the interest list and returns up to `max_events` ready
-    /// events without blocking (`epoll_wait` with timeout 0).
+    /// events without blocking (`epoll_wait` with timeout 0). A
+    /// convenience over [`poll_ready_into`](Self::poll_ready_into)
+    /// that allocates the result; event loops reuse a buffer instead.
+    pub fn poll_ready(&mut self, max_events: usize) -> Vec<Event> {
+        let mut out = Vec::new();
+        self.poll_ready_into(&mut out, max_events);
+        out
+    }
+
+    /// [`poll_ready`](Self::poll_ready) into a caller-owned buffer:
+    /// replaces `out`'s contents with up to `max_events` ready events
+    /// (at least one slot) and returns how many. The interest list is
+    /// scanned in place, so once `out` has grown to the batch size a
+    /// poll allocates nothing.
     ///
     /// Level-triggered entries report whenever their readiness
     /// intersects the mask; edge-triggered entries only report when the
     /// source's edge sequence advanced past the last delivery. `EPOLLERR`
     /// and `EPOLLHUP` are always reported, subscribed or not.
-    pub fn poll_ready(&mut self, max_events: usize) -> Vec<Event> {
+    pub fn poll_ready_into(&mut self, out: &mut Vec<Event>, max_events: usize) -> usize {
         self.shared.borrow_mut().pending = false;
-        let mut out = Vec::new();
+        out.clear();
+        let max = max_events.max(1);
         // Rotated scan order: tokens >= cursor first, then the rest.
-        let tokens: Vec<u64> = self
-            .interest
-            .range(self.scan_from..)
-            .map(|(&t, _)| t)
-            .chain(self.interest.range(..self.scan_from).map(|(&t, _)| t))
-            .collect();
-        for token in tokens {
-            if out.len() >= max_events.max(1) {
+        for (&token, entry) in self.interest.range_mut(self.scan_from..) {
+            if out.len() >= max {
                 break;
             }
-            let entry = self.interest.get_mut(&token).expect("token just listed");
-            if entry.disarmed {
-                continue;
+            if let Some(ev) = entry.take_ready(token) {
+                out.push(ev);
             }
-            let level = entry.source.current();
-            let wanted = entry.mask.payload() | EventMask::ALWAYS;
-            let fired = level & wanted;
-            if fired.is_empty() {
-                continue;
+        }
+        for (&token, entry) in self.interest.range_mut(..self.scan_from) {
+            if out.len() >= max {
+                break;
             }
-            if entry.mask.contains(EventMask::ET) {
-                let seq = entry.source.edge_seq();
-                if seq <= entry.last_seq {
-                    continue; // Edge already consumed.
-                }
-                entry.last_seq = seq;
+            if let Some(ev) = entry.take_ready(token) {
+                out.push(ev);
             }
-            if entry.mask.contains(EventMask::ONESHOT) {
-                entry.disarmed = true;
-            }
-            out.push(Event {
-                token,
-                events: fired,
-            });
         }
         if let Some(last) = out.last() {
             self.scan_from = last.token.wrapping_add(1);
         }
         self.delivered += out.len() as u64;
-        out
+        out.len()
     }
 
     /// `epoll_wait`: returns ready events, or parks `tid` on the queue's

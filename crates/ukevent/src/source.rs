@@ -140,13 +140,13 @@ impl ReadySource {
     }
 
     fn notify_watchers(&self) {
-        // Collect strong refs first: waking may re-enter user code that
-        // touches this source.
-        let watchers: Vec<Rc<RefCell<QueueShared>>> = {
-            let inner = self.inner.borrow();
-            inner.watchers.iter().filter_map(Weak::upgrade).collect()
-        };
-        for q in watchers {
+        // Walked in place, with the source borrowed shared: a queue's
+        // `on_readiness` only records the edge and releases its
+        // waiters (handed to the scheduler later through
+        // `take_wakeups`), so it never re-enters this source — and an
+        // edge costs no allocation.
+        let inner = self.inner.borrow();
+        for q in inner.watchers.iter().filter_map(Weak::upgrade) {
             q.borrow_mut().on_readiness();
         }
     }

@@ -49,19 +49,26 @@
 //!   (zero-window probe) timer.
 //! - **RACK-TLP loss detection (RFC 8985) with NewReno recovery
 //!   (RFC 6582).** Duplicate ACKs and new SACK coverage only *arm* a
-//!   reordering window (half an SRTT, floored); its expiry with the
-//!   hole still open declares loss and retransmits without waiting
-//!   for the RTO ([`Tcb::on_rack_timeout`]), so reordering that
-//!   resolves in time never fakes a loss. A tail-loss probe (2·SRTT)
-//!   re-emits the flight's last extent when no ACK can ever dupe.
-//!   With congestion control enabled
-//!   ([`Tcb::set_congestion_control`], a `StackConfig` ablation) loss
-//!   also halves `ssthresh`, inflates `cwnd` per extra dup-ACK, and
-//!   NewReno partial ACKs retransmit the next hole until the recovery
-//!   point is crossed. `cwnd` (slow start / congestion avoidance)
-//!   bounds emission alongside the peer window and composes with the
-//!   TSO super-segment budget (a super-segment splits at the
-//!   `min(cwnd, snd_wnd)` edge exactly like at the window edge).
+//!   reordering window (`min(min_rtt / 4, srtt)`, at least the timer
+//!   wheel's 1 ms tick; 10 ms before the first RTT sample); its expiry
+//!   with the hole still open declares loss and retransmits without
+//!   waiting for the RTO ([`Tcb::on_rack_timeout`]), so reordering
+//!   that resolves in time never fakes a loss. SACKed data left above
+//!   a partial cumulative ACK keeps the window armed. In recovery the
+//!   same timer re-runs the hole walk once a hole's last transmission
+//!   is `srtt + reo_wnd` old, so a lost retransmission is re-sent
+//!   without waiting for the RTO. A tail-loss probe (2·SRTT) re-emits
+//!   the flight's last extent when no ACK can ever dupe. With
+//!   congestion control enabled ([`Tcb::set_congestion_control`], a
+//!   `StackConfig` ablation) loss also halves `ssthresh`, inflates
+//!   `cwnd` per extra dup-ACK, and NewReno partial ACKs retransmit the
+//!   next hole until the recovery point is crossed. `cwnd` grows by
+//!   bytes acknowledged (RFC 3465: at most 2·MSS per ACK in slow
+//!   start, one MSS per cwnd of bytes in congestion avoidance), since
+//!   the receiver sends one stretch ACK per sweep. It bounds emission
+//!   alongside the peer window and composes with the TSO super-segment
+//!   budget (a super-segment splits at the `min(cwnd, snd_wnd)` edge
+//!   exactly like at the window edge).
 //! - **SACK scoreboard (RFC 2018/2883).** With a peer that announced
 //!   SACK-permitted, the receiver reports its reassembly extents (and
 //!   duplicate arrivals as D-SACK) on pure ACKs, and the sender's
@@ -152,11 +159,15 @@ pub const SACK_PERMITTED_OPT: [u8; 4] = [1, 1, 4, 2];
 /// alternating holes; 32 ranges cover every reachable episode and the
 /// `Vec` never reallocates in steady state.
 const MAX_SACKED_RANGES: usize = 32;
-/// RACK reordering-window floor: how long after loss evidence (first
-/// duplicate ACK / SACK advance) the sender waits before declaring
-/// loss, so mere reordering can cancel the episode. Half the SRTT,
-/// floored here to stay above the virtual wire's delivery quantum.
-const RACK_REO_WND_MIN_NS: u64 = 10_000_000;
+/// RACK reordering window before the first RTT sample: how long after
+/// loss evidence (first duplicate ACK / SACK advance) the sender waits
+/// before declaring loss, so mere reordering can cancel the episode.
+/// Once a sample exists the window is `min(min_rtt / 4, srtt)`
+/// (RFC 8985 §6.2), floored at [`RACK_REO_WND_FLOOR_NS`].
+const RACK_REO_WND_INITIAL_NS: u64 = 10_000_000;
+/// Floor of the RTT-scaled reordering window: the timer wheel's tick,
+/// the finest deadline the stack can arm.
+const RACK_REO_WND_FLOOR_NS: u64 = crate::timer::DEFAULT_TICK_NS;
 /// Tail-loss-probe floor (the PTO is `2 * srtt` once an RTT sample
 /// exists; before that, half the initial RTO).
 const TLP_MIN_NS: u64 = 2_000_000;
@@ -652,6 +663,9 @@ pub struct Tcb {
     now_ns: u64,
     /// Smoothed RTT (RFC 6298); 0 until the first sample.
     srtt_ns: u64,
+    /// Smallest RTT sample taken (RACK's `min_rtt`, which scales the
+    /// reordering window); 0 until the first sample.
+    min_rtt_ns: u64,
     /// RTT variance (RFC 6298).
     rttvar_ns: u64,
     /// Current retransmission timeout (includes backoff).
@@ -682,6 +696,9 @@ pub struct Tcb {
     cwnd: usize,
     /// Slow-start threshold (bytes).
     ssthresh: usize,
+    /// Bytes acknowledged since congestion avoidance last grew `cwnd`
+    /// (RFC 3465 byte counting); reset whenever `cwnd` is cut.
+    bytes_acked: usize,
     /// An immediate duplicate ACK is owed; the next output poll emits
     /// exactly one pure ACK for it, however many gapped segments the
     /// sweep carried (dup-ACK coalescing).
@@ -782,6 +799,7 @@ impl Tcb {
             rtx_request: false,
             now_ns: 0,
             srtt_ns: 0,
+            min_rtt_ns: 0,
             rttvar_ns: 0,
             rto_ns: RTO_INITIAL_NS,
             rtx_deadline_ns: None,
@@ -794,6 +812,7 @@ impl Tcb {
             cc_enabled: false,
             cwnd: INITIAL_CWND_SEGS * MSS,
             ssthresh: SND_BUF_CAP,
+            bytes_acked: 0,
             dup_ack_now: false,
             ooo_q: VecDeque::with_capacity(OOO_QUEUE_BUFS),
             ooo_bytes: 0,
@@ -861,9 +880,17 @@ impl Tcb {
 
     /// The reordering window RACK currently applies before declaring
     /// loss (exported as the `netstack.tcp.rack_reorder_window_ns`
-    /// gauge).
+    /// gauge): RFC 8985's `min(min_rtt / 4, srtt)`, sized to the path
+    /// so a short-RTT wire does not sit out several round trips per
+    /// hole. Floored at the timer wheel's 1 ms tick; 10 ms until the
+    /// first RTT sample.
     pub fn reo_wnd_ns(&self) -> u64 {
-        (self.srtt_ns / 2).max(RACK_REO_WND_MIN_NS)
+        if self.min_rtt_ns == 0 {
+            return RACK_REO_WND_INITIAL_NS;
+        }
+        (self.min_rtt_ns / 4)
+            .min(self.srtt_ns)
+            .max(RACK_REO_WND_FLOOR_NS)
     }
 
     /// The sender scoreboard: disjoint ascending SACKed ranges above
@@ -888,13 +915,20 @@ impl Tcb {
     /// enter fast retransmit (duplicate ACKs and SACK coverage merely
     /// *arm* the window; expiry is what declares loss, so reordering
     /// that resolves within the window never triggers a
-    /// retransmission). An expired PTO owes the wire a tail-loss
-    /// probe.
+    /// retransmission). In recovery the same deadline is the hole
+    /// walk's timer (see [`hole_deadline`](Self::hole_deadline)): its
+    /// expiry means a hole's last transmission is `srtt + reo_wnd`
+    /// old and still un-SACKed, so the walk runs again without
+    /// waiting for an ACK or the RTO. An expired PTO owes the wire a
+    /// tail-loss probe.
     pub fn on_rack_timeout(&mut self, now_ns: u64) {
         self.set_now(now_ns);
         if self.reo_deadline_ns.is_some_and(|d| d <= now_ns) {
             self.reo_deadline_ns = None;
-            if self.snd_una != self.snd_nxt
+            let outstanding = self.snd_una != self.snd_nxt;
+            if outstanding && self.in_recovery && !self.sacked.is_empty() {
+                self.rtx_request = true;
+            } else if outstanding
                 && !self.in_recovery
                 && (self.dup_ack_rx > 0 || !self.sacked.is_empty())
             {
@@ -906,6 +940,7 @@ impl Tcb {
                     let flight = self.bytes_in_flight() as usize;
                     self.ssthresh = (flight / 2).max(2 * self.mss);
                     self.cwnd = self.ssthresh + 3 * self.mss;
+                    self.bytes_acked = 0;
                 }
             }
         }
@@ -1147,6 +1182,16 @@ impl Tcb {
     /// `seg_payload` is the segment's payload byte count — a pure ACK
     /// (no payload, no SYN/FIN) at `snd_una` with data outstanding is a
     /// *duplicate ACK* (RFC 5681 §2), the fast-retransmit signal.
+    ///
+    /// Cumulative progress releases acknowledged extents, takes the
+    /// RTT sample, and grows `cwnd` by bytes acknowledged (RFC 3465
+    /// Appropriate Byte Counting): in slow start by what the ACK
+    /// covered, at most 2·MSS; in congestion avoidance by one MSS per
+    /// cwnd's worth of acknowledged bytes. The receiver acknowledges a
+    /// whole sweep with one stretch ACK, so counting ACKs instead of
+    /// bytes would hold flights at a few segments. SACKed data left
+    /// above the new `snd_una` outside recovery re-arms the RACK
+    /// reordering window: a hole still sits below it.
     fn process_ack(&mut self, h: &TcpHeader, seg_payload: usize) {
         if !h.flags.ack {
             return;
@@ -1165,8 +1210,9 @@ impl Tcb {
                 self.rto_ns = self.computed_rto();
             }
             // Cumulative progress: retire scoreboard ranges the ACK
-            // overtook and disarm the RACK deadlines — the hole they watched is gone (loss
-            // evidence that persists re-arms them immediately).
+            // overtook and disarm the RACK deadlines — the hole they
+            // watched is gone. SACKed ranges that survive re-arm the
+            // reordering window below, once recovery state is settled.
             self.sacked.retain(|&(_, e)| Self::seq_lt(self.snd_una, e));
             if let Some(first) = self.sacked.first_mut() {
                 if Self::seq_lt(first.0, self.snd_una) {
@@ -1190,6 +1236,7 @@ impl Tcb {
                     self.in_recovery = false;
                     if self.cc_enabled {
                         self.cwnd = self.ssthresh.max(2 * self.mss);
+                        self.bytes_acked = 0;
                     }
                 } else {
                     // NewReno partial ACK: the next hole starts at the
@@ -1207,14 +1254,20 @@ impl Tcb {
             }
             if self.cc_enabled && !self.in_recovery {
                 if self.cwnd < self.ssthresh {
-                    // Slow start: one MSS per ACK (bounded by bytes
-                    // actually covered, so stretch ACKs don't over-open).
-                    self.cwnd += acked.min(self.mss);
+                    // Slow start, byte-counted with RFC 3465's L = 2.
+                    self.cwnd += acked.min(2 * self.mss);
                 } else {
-                    // Congestion avoidance: ~one MSS per RTT.
-                    self.cwnd += (self.mss * self.mss / self.cwnd.max(1)).max(1);
+                    // Congestion avoidance: one MSS per cwnd of bytes.
+                    self.bytes_acked += acked;
+                    if self.bytes_acked >= self.cwnd {
+                        self.bytes_acked -= self.cwnd;
+                        self.cwnd += self.mss;
+                    }
                 }
                 self.cwnd = self.cwnd.min(4 * SND_BUF_CAP);
+            }
+            if !self.in_recovery && !self.sacked.is_empty() {
+                self.reo_deadline_ns = Some(self.now_ns.saturating_add(self.reo_wnd_ns()));
             }
             self.rtx_deadline_ns = if self.snd_una == self.snd_nxt {
                 None
@@ -1333,8 +1386,14 @@ impl Tcb {
 
     /// Feeds an RTT measurement into the RFC 6298 estimator.
     fn rtt_sample(&mut self, sample_ns: u64) {
+        let sample = sample_ns.max(1);
+        self.min_rtt_ns = if self.min_rtt_ns == 0 {
+            sample
+        } else {
+            self.min_rtt_ns.min(sample)
+        };
         if self.srtt_ns == 0 {
-            self.srtt_ns = sample_ns.max(1);
+            self.srtt_ns = sample;
             self.rttvar_ns = sample_ns / 2;
         } else {
             let diff = self.srtt_ns.abs_diff(sample_ns);
@@ -1407,6 +1466,7 @@ impl Tcb {
                         let flight = self.bytes_in_flight() as usize;
                         self.ssthresh = (flight / 2).max(2 * self.mss);
                         self.cwnd = self.mss;
+                        self.bytes_acked = 0;
                     }
                 } else if self.fin_sent && self.snd_una != self.snd_nxt && self.rtx_q.is_empty()
                 {
@@ -2304,15 +2364,7 @@ impl Tcb {
         // *is* the original frame's payload buffer (headers stripped,
         // headroom restored), moved back out of the retransmission
         // queue without a copy; its next return re-files it.
-        if self.rtx_request
-            && matches!(
-                self.state,
-                TcpState::Established
-                    | TcpState::CloseWait
-                    | TcpState::FinWait
-                    | TcpState::LastAck
-            )
-        {
+        if self.rtx_request && self.may_retransmit() {
             let front_home = self
                 .rtx_q
                 .front()
@@ -2343,13 +2395,7 @@ impl Tcb {
         // recovery needs, without waiting out a full RTO.
         if self.tlp_pending {
             self.tlp_pending = false;
-            if matches!(
-                self.state,
-                TcpState::Established
-                    | TcpState::CloseWait
-                    | TcpState::FinWait
-                    | TcpState::LastAck
-            ) {
+            if self.may_retransmit() {
                 if let Some((start, _, nb)) = self.rtx_q.pop_back() {
                     self.emit_rtx(start, nb, &mut emit);
                     emitted_ack = true;
@@ -2471,24 +2517,17 @@ impl Tcb {
         } else {
             self.rtx_deadline_ns = None;
         }
-        // RACK deadlines: nothing outstanding disarms everything; an
-        // outstanding tail with no open episode is backed by the
+        // RACK deadlines: nothing outstanding disarms everything; in
+        // recovery the reordering deadline is the hole walk's timer;
+        // an outstanding tail with no open episode is backed by the
         // tail-loss probe (PTO of two SRTTs — well under the RTO
         // floor, so a dropped last segment is probed, not timed out).
         if self.state == TcpState::Closed || self.snd_una == self.snd_nxt {
             self.reo_deadline_ns = None;
             self.tlp_deadline_ns = None;
-        } else if !self.in_recovery
-            && !self.tlp_consumed
-            && self.tlp_deadline_ns.is_none()
-            && matches!(
-                self.state,
-                TcpState::Established
-                    | TcpState::CloseWait
-                    | TcpState::FinWait
-                    | TcpState::LastAck
-            )
-        {
+        } else if self.in_recovery {
+            self.reo_deadline_ns = self.hole_deadline();
+        } else if !self.tlp_consumed && self.tlp_deadline_ns.is_none() && self.may_retransmit() {
             let pto = if self.srtt_ns > 0 {
                 2 * self.srtt_ns
             } else {
@@ -2507,8 +2546,12 @@ impl Tcb {
     /// Guards against re-sending a hole every ACK: an extent is
     /// eligible only once its last transmission is at least
     /// `srtt + reo_wnd` old (RACK: a just-retransmitted extent gets
-    /// its round trip). The cwnd budget caps the walk's total bytes,
-    /// but the first eligible extent always goes (forward progress).
+    /// its round trip). The walk runs when an ACK brings new evidence
+    /// and when the recovery timer armed at
+    /// [`hole_deadline`](Self::hole_deadline) expires, so a lost
+    /// retransmission is re-sent once it ages, not at the RTO. The
+    /// cwnd budget caps the walk's total bytes, but the first
+    /// eligible extent always goes (forward progress).
     fn hole_walk<F>(&mut self, emit: &mut F) -> bool
     where
         F: FnMut(TcpHeader, Option<Netbuf>),
@@ -2521,7 +2564,7 @@ impl Tcb {
         } else {
             usize::MAX
         };
-        let age_floor = self.srtt_ns + self.reo_wnd_ns();
+        let age_floor = self.hole_age_ns();
         let mut emitted = false;
         let mut i = 0;
         while i < self.rtx_q.len() {
@@ -2537,7 +2580,7 @@ impl Tcb {
                 i += 1;
                 continue;
             }
-            if self.now_ns.saturating_sub(sent) < age_floor {
+            if self.now_ns < sent.saturating_add(age_floor) {
                 i += 1;
                 continue;
             }
@@ -2561,6 +2604,45 @@ impl Tcb {
             emitted = true;
         }
         emitted
+    }
+
+    /// Whether the connection's state lets it re-send data (a
+    /// retransmission, a hole-walk pass or a tail-loss probe): it is
+    /// established, the peer has closed but this side still sends, or
+    /// this side's FIN is not yet acknowledged.
+    fn may_retransmit(&self) -> bool {
+        matches!(
+            self.state,
+            TcpState::Established | TcpState::CloseWait | TcpState::FinWait | TcpState::LastAck
+        )
+    }
+
+    /// How old a hole's last transmission must be before the hole walk
+    /// re-sends it: a round trip plus the reordering window.
+    fn hole_age_ns(&self) -> u64 {
+        self.srtt_ns + self.reo_wnd_ns()
+    }
+
+    /// The hole walk's timer in recovery: the earliest instant an
+    /// un-SACKed `rtx_q` extent below the highest SACKed byte becomes
+    /// eligible for re-sending (last transmission plus
+    /// [`hole_age_ns`](Self::hole_age_ns), the walk's own rule).
+    /// RFC 8985 would also require a later-sent segment to have been
+    /// delivered; this stack sends no new data in recovery (SACKed
+    /// bytes count as in flight), so that rule would leave a lost
+    /// retransmission to the RTO.
+    fn hole_deadline(&self) -> Option<u64> {
+        let &(_, high) = self.sacked.last()?;
+        if !self.may_retransmit() {
+            return None;
+        }
+        let age = self.hole_age_ns();
+        self.rtx_q
+            .iter()
+            .take_while(|&&(seq, _, _)| Self::seq_lt(seq, high))
+            .filter(|&&(seq, _, ref nb)| !self.sack_covers(seq, seq.wrapping_add(nb.len() as u32)))
+            .map(|&(_, sent, _)| sent.saturating_add(age))
+            .min()
     }
 
     /// Re-emits one retransmission-queue extent at `seq` (its own
@@ -3182,6 +3264,90 @@ mod tests {
         assert_eq!(nb2.payload(), b"second-segment");
         assert!(server.app_recv_netbuf().is_none());
         assert_eq!(server.readable(), 0);
+    }
+
+    /// RACK's reordering window tracks the path: 10 ms until the
+    /// first RTT sample, then `min(min_rtt / 4, srtt)` off the
+    /// smallest sample, floored at the timer wheel's 1 ms tick.
+    #[test]
+    fn reorder_window_is_a_quarter_of_min_rtt() {
+        let mut t = Tcb::connect(4000, 80, 1);
+        assert_eq!(t.reo_wnd_ns(), 10_000_000, "no sample yet");
+        t.rtt_sample(100_000_000);
+        t.rtt_sample(60_000_000);
+        assert_eq!(t.min_rtt_ns, 60_000_000);
+        assert_eq!(t.srtt_ns, 95_000_000);
+        assert_eq!(t.reo_wnd_ns(), 15_000_000, "min_rtt / 4");
+        t.rtt_sample(200_000_000);
+        assert_eq!(t.reo_wnd_ns(), 15_000_000, "a slower sample leaves min_rtt alone");
+        let mut fast = Tcb::connect(4000, 80, 1);
+        fast.rtt_sample(2_000_000);
+        assert_eq!(fast.reo_wnd_ns(), 1_000_000, "floored at one wheel tick");
+    }
+
+    /// An established, congestion-controlled sender with `flight`
+    /// bytes outstanding and the given `cwnd`/`ssthresh`.
+    fn cc_sender(flight: usize, cwnd: usize, ssthresh: usize) -> Tcb {
+        let mut t = Tcb::connect(4000, 80, 1);
+        t.state = TcpState::Established;
+        t.set_congestion_control(true);
+        t.snd_una = 1;
+        t.snd_nxt = 1 + flight as u32;
+        t.cwnd = cwnd;
+        t.ssthresh = ssthresh;
+        t
+    }
+
+    /// Acknowledges `bytes` more of the sender's flight.
+    fn ack_bytes(t: &mut Tcb, bytes: usize) {
+        let h = TcpHeader {
+            src_port: 80,
+            dst_port: 4000,
+            seq: 0,
+            ack: t.snd_una.wrapping_add(bytes as u32),
+            flags: TcpFlags {
+                ack: true,
+                ..Default::default()
+            },
+            window: u16::MAX,
+        };
+        t.process_ack(&h, 0);
+    }
+
+    /// RFC 3465 slow start: one stretch ACK covering ten segments
+    /// grows cwnd by the L = 2 cap, not by one MSS per ACK.
+    #[test]
+    fn slow_start_counts_bytes_up_to_two_segments_per_ack() {
+        let mut t = cc_sender(20 * MSS, 10 * MSS, SND_BUF_CAP);
+        ack_bytes(&mut t, 10 * MSS);
+        assert_eq!(t.cwnd(), 12 * MSS);
+        ack_bytes(&mut t, MSS / 2);
+        assert_eq!(t.cwnd(), 12 * MSS + MSS / 2, "a small ACK adds what it covered");
+    }
+
+    /// RFC 3465 congestion avoidance: one MSS per cwnd's worth of
+    /// acknowledged bytes, whether one ACK or many carry them.
+    #[test]
+    fn congestion_avoidance_grows_one_mss_per_cwnd_of_bytes() {
+        let cwnd = 10 * MSS;
+        let mut one = cc_sender(30 * MSS, cwnd, cwnd);
+        ack_bytes(&mut one, cwnd);
+        assert_eq!(one.cwnd(), cwnd + MSS, "one ACK of a whole cwnd");
+
+        let mut many = cc_sender(30 * MSS, cwnd, cwnd);
+        for _ in 0..9 {
+            ack_bytes(&mut many, MSS);
+        }
+        assert_eq!(many.cwnd(), cwnd, "nine tenths of a cwnd: no growth yet");
+        ack_bytes(&mut many, MSS);
+        assert_eq!(many.cwnd(), cwnd + MSS, "ten MSS-sized ACKs");
+        // The next MSS is earned by the new, larger cwnd of bytes.
+        for _ in 0..10 {
+            ack_bytes(&mut many, MSS);
+        }
+        assert_eq!(many.cwnd(), cwnd + MSS);
+        ack_bytes(&mut many, MSS);
+        assert_eq!(many.cwnd(), cwnd + 2 * MSS);
     }
 
     #[test]

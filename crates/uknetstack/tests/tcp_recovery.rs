@@ -419,7 +419,7 @@ fn sack_scoreboard_retransmits_only_the_holes() {
 
 /// RACK, part 1: a reorder-prone but lossless wire (duplicated ACKs
 /// and adjacent data reorder) must trigger *zero* retransmissions of
-/// any kind — the reordering window waits half an SRTT, sees the
+/// any kind — the reordering window waits its `min_rtt / 4`, sees the
 /// cumulative ACK advance, and never declares loss.
 #[test]
 fn rack_reordering_window_suppresses_false_fast_retransmits() {
@@ -497,6 +497,128 @@ fn tail_loss_probe_rescues_a_dropped_tail_without_rto() {
     let TcpCounters { rto_fires: rto, tlp_probes: tlp, .. } = net.stack(0).tcp_counters(client);
     assert_eq!(rto, 0, "rescued before the RTO (30 steps ≪ 200 ms floor × backoff)");
     assert!(tlp >= 1, "the probe fired");
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
+}
+
+/// Establishes a connection on a 5 ms-step clocked wire, seeds the
+/// RTT estimator with a clean transfer and lets the wire go quiet —
+/// the start of the single-flight RACK tests below.
+fn warmed_up(port: u16) -> (Network, SocketHandle, SocketHandle) {
+    let mut net = clocked_net_cfg(5_000_000, |_| {});
+    let (client, conn) = establish(&mut net, port);
+    let warm = patterned(64_000, 29);
+    let got = bulk_send(&mut net, client, conn, &warm, 2_000);
+    assert_eq!(got, warm, "warmup clean");
+    net.run_until_quiet(64);
+    (net, client, conn)
+}
+
+/// Queues `blob` and steps the wire once with `faults` applied to
+/// exactly that step's frames — the whole flight, one frame per MSS.
+fn send_flight(
+    net: &mut Network,
+    client: SocketHandle,
+    blob: &[u8],
+    faults: impl FnOnce(&mut Network),
+) {
+    let sent = net.stack(0).tcp_send_queued(client, blob).unwrap();
+    assert_eq!(sent, blob.len(), "the flight fits the send buffer");
+    net.stack(0).flush_output().unwrap();
+    faults(net);
+    net.step();
+    net.set_drop_every(0);
+    net.set_reorder_every(0);
+}
+
+/// Steps the wire (at most `steps` times) until `want` bytes are
+/// readable in order at the server, calling `each` after every step.
+fn drain_until(
+    net: &mut Network,
+    conn: SocketHandle,
+    want: usize,
+    steps: usize,
+    mut each: impl FnMut(&mut Network),
+) -> Vec<u8> {
+    let mut got = Vec::with_capacity(want);
+    let mut buf = vec![0u8; 64 * 1024];
+    for _ in 0..steps {
+        loop {
+            let n = net.stack(1).tcp_recv_into(conn, &mut buf).unwrap();
+            if n == 0 {
+                break;
+            }
+            got.extend_from_slice(&buf[..n]);
+        }
+        if got.len() >= want {
+            break;
+        }
+        net.step();
+        each(net);
+    }
+    got
+}
+
+/// RACK across a partial cumulative ACK: one flight whose 2nd and 3rd
+/// segments swap and whose 6th is dropped. The receiver's single ACK
+/// for the sweep both advances the cumulative point past the swapped
+/// pair and SACKs everything after the hole, so the hole's reordering
+/// window must survive the cumulative progress: it expires one
+/// `min_rtt / 4` later and fast-retransmits the hole, well before the
+/// 2·SRTT tail-loss probe would re-send a tail that was never lost.
+#[test]
+fn sacked_hole_surviving_a_partial_ack_is_fast_retransmitted() {
+    let (mut net, client, conn) = warmed_up(9017);
+    let c0 = net.stack(0).tcp_counters(client);
+    let blob = patterned(10 * 1460, 31);
+    send_flight(&mut net, client, &blob, |net| {
+        net.set_reorder_every(3);
+        net.set_drop_every(6);
+    });
+    let got = drain_until(&mut net, conn, blob.len(), 100, |_| {});
+    assert_eq!(got, blob, "byte-identical");
+    let d = net.stack(0).tcp_counters(client).since(&c0);
+    assert_eq!(d.fast_retransmits, 1, "the reordering window declared the loss");
+    assert_eq!(d.retransmits, 1, "only the hole was re-sent");
+    assert_eq!(d.tlp_probes, 0, "no probe of a tail that arrived");
+    assert_eq!(d.spurious_rtx, 0);
+    assert_eq!(d.rto_fires, 0);
+    net.run_until_quiet(64);
+    assert_eq!(net.stack(0).pool_available(), Some(POOL));
+    assert_eq!(net.stack(1).pool_available(), Some(POOL));
+}
+
+/// The hole walk's timer: a flight loses its 6th segment, the RACK
+/// window fast-retransmits it, and the retransmission is dropped too.
+/// No ACK can arrive to re-run the walk (the receiver got nothing
+/// new), so the recovery timer — armed at the hole's last
+/// transmission plus `srtt + reo_wnd` — re-sends it, instead of the
+/// 200 ms RTO.
+#[test]
+fn dropped_retransmission_of_a_hole_is_resent_by_the_rack_timer() {
+    let (mut net, client, conn) = warmed_up(9018);
+    let c0 = net.stack(0).tcp_counters(client);
+    let blob = patterned(10 * 1460, 37);
+    send_flight(&mut net, client, &blob, |net| net.set_drop_every(6));
+    let mut dropped_rtx = false;
+    let got = drain_until(&mut net, conn, blob.len(), 100, |net| {
+        let rtx = net.stack(0).tcp_counters(client).since(&c0).retransmits;
+        if rtx == 1 && !dropped_rtx {
+            // The first retransmission sits in the client's TX ring:
+            // eat it on the wire.
+            dropped_rtx = true;
+            net.set_drop_every(1);
+            net.step();
+            net.set_drop_every(0);
+        }
+    });
+    assert!(dropped_rtx, "the first retransmission was dropped");
+    assert_eq!(got, blob, "byte-identical");
+    let d = net.stack(0).tcp_counters(client).since(&c0);
+    assert_eq!(d.fast_retransmits, 1, "one loss episode");
+    assert_eq!(d.retransmits, 2, "the hole, then its lost retransmission");
+    assert_eq!(d.rto_fires, 0, "the recovery timer beat the RTO");
     net.run_until_quiet(64);
     assert_eq!(net.stack(0).pool_available(), Some(POOL));
     assert_eq!(net.stack(1).pool_available(), Some(POOL));

@@ -13,6 +13,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use ukalloc::stats::{AllocCounter, CountingAlloc};
+use ukevent::{Event, EventMask, EventQueue};
 use uknetdev::backend::VhostKind;
 use uknetdev::dev::{NetDev, NetDevConf};
 use uknetdev::VirtioNet;
@@ -117,6 +118,62 @@ fn tcp_echo_round_trip_is_allocation_free_in_steady_state() {
             "the round-trip wrote trace records"
         );
     }
+}
+
+/// The readiness path: every request the server socket receives
+/// publishes an edge to an edge-triggered `EventQueue` watching it, and
+/// the event loop drains the queue into a reused buffer with
+/// `poll_ready_into`. In steady state neither the edge (the source
+/// notifying its watchers) nor the drain touches the heap.
+#[test]
+fn edge_triggered_readiness_is_allocation_free_in_steady_state() {
+    let _guard = serial();
+    let mut net = Network::new();
+    let ci = net.attach(mk_stack(1));
+    let si = net.attach(mk_stack(2));
+    let clock = Tsc::new(1_000_000_000);
+    net.set_clock(&clock);
+    net.set_step_ns(1_000);
+    let listener = net.stack(si).tcp_listen(7).unwrap();
+    let client = net
+        .stack(ci)
+        .tcp_connect(Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 7))
+        .unwrap();
+    net.run_until_quiet(32);
+    let server = net.stack(si).tcp_accept(listener).unwrap();
+    let mut queue = EventQueue::new();
+    let src = net.stack(si).ready_source(server);
+    queue.ctl_add(7, &src, EventMask::IN | EventMask::ET).unwrap();
+
+    let request = [0x42u8; 512];
+    let mut buf = [0u8; 2048];
+    let mut events: Vec<Event> = Vec::new();
+    let mut round_trip = |net: &mut Network, queue: &mut EventQueue, ev: &mut Vec<Event>| {
+        assert_eq!(net.stack(ci).tcp_send(client, &request).unwrap(), 512);
+        net.run_until_quiet(32);
+        assert_eq!(queue.poll_ready_into(ev, 8), 1, "the arrival is one edge");
+        assert_eq!(ev[0].token, 7);
+        assert!(ev[0].events.contains(EventMask::IN));
+        assert_eq!(queue.poll_ready_into(ev, 8), 0, "edge consumed");
+        let n = net.stack(si).tcp_recv_into(server, &mut buf).unwrap();
+        assert_eq!(n, 512);
+        assert_eq!(net.stack(si).tcp_send(server, &buf[..n]).unwrap(), n);
+        net.run_until_quiet(32);
+        assert_eq!(net.stack(ci).tcp_recv_into(client, &mut buf).unwrap(), 512);
+    };
+    for _ in 0..4 {
+        round_trip(&mut net, &mut queue, &mut events);
+    }
+
+    let edges = queue.edges_seen();
+    let counter = AllocCounter::start();
+    round_trip(&mut net, &mut queue, &mut events);
+    let allocs = counter.allocs();
+    assert!(queue.edges_seen() > edges, "the window published edges");
+    assert_eq!(
+        allocs, 0,
+        "steady-state edge delivery and poll_ready_into drain must not touch the heap"
+    );
 }
 
 #[test]
